@@ -4,9 +4,9 @@ Three ways to compute ``popcount(r & ~m)``:
 
 1. fused AND-NOT in the kernel (free on NVIDIA's LOP3-class ALUs),
 2. explicit NOT + AND (what Vega executes without fusion),
-3. pre-negated database + plain AND (the paper's recommended Vega
-   strategy -- "mixture analysis reduces down to the same computation
-   as linkage disequilibrium").
+3. pre-negated database + plain AND (the paper's recommendation for
+   Vega -- "mixture analysis reduces down to the same computation as
+   linkage disequilibrium").
 
 All three must agree bit-exactly; their *throughput* differs exactly
 where the paper says it does.

@@ -10,12 +10,15 @@ host wall-clock on both sides of the crossover.
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm_fast
 from repro.sparse.auto import choose_representation
 from repro.sparse.cost import SparseCostModel, density_crossover
 from repro.sparse.kernels import sparse_comparison
 from repro.sparse.matrix import SparseSNPMatrix
+from repro.kernels import get_backend
 from repro.util.bitops import pack_bits
+
+#: The identity-based fast path: one float GEMM over unpacked bits.
+bit_gemm_fast = get_backend("blas").bit_gemm_panel
 
 
 def random_bits(shape, density, seed=0):

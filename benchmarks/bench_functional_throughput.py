@@ -9,14 +9,18 @@ and the statistical layers.
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast
+from repro.blis.gemm import bit_gemm_blocked
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
 from repro.core.packing import pack_operand
 from repro.gpu.arch import TITAN_V
 from repro.snp.generator import PopulationModel, generate_population
+from repro.kernels import get_backend
 from repro.util.bitops import pack_bits
+
+#: The identity-based fast path: one float GEMM over unpacked bits.
+bit_gemm_fast = get_backend("blas").bit_gemm_panel
 
 
 @pytest.fixture(scope="module")

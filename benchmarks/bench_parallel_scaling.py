@@ -1,15 +1,14 @@
-"""Parallel-engine scaling: sharded bit-GEMM vs the serial drivers.
+"""Parallel-engine scaling: sharded bit-GEMM vs the serial one-shard run.
 
 Sweeps the :class:`repro.parallel.ParallelEngine` over worker counts on
 one LD-shaped problem and demonstrates two properties:
 
 * **bit-exactness** -- every worker count returns a table byte-identical
   to :func:`repro.blis.gemm.bit_gemm_reference`;
-* **speedup** -- at ``workers=4`` the sharded engine beats the best
-  serial driver by at least 1.5x.  On a single-core host the win comes
-  from the engine's GEMM shard strategy (one float32 BLAS call per
-  ``k_c`` panel over cached unpacked-bit panels); on multicore hosts
-  thread overlap stacks on top of it.
+* **speedup** -- at ``workers=4`` the sharded engine beats the serial
+  one-shard run by at least 1.5x.  Every shard is one ``blas`` backend
+  panel (one float32 BLAS call over unpacked bits), so the win comes
+  from thread overlap on multicore hosts.
 
 Runs two ways:
 
@@ -86,8 +85,8 @@ def time_workers(pa, pb, workers, repeats=3, op=ComparisonOp.AND,
                  executor="thread"):
     """Best-of-``repeats`` seconds for one worker count, plus the table.
 
-    ``workers=1`` takes the engine's serial fallback (the best serial
-    driver for the problem size); ``workers>1`` forces the sharded path.
+    ``workers=1`` computes one full shard (the size rule picks its
+    backend); ``workers>1`` forces the sharded path.
     The process executor gets one untimed warmup run first so worker
     spawn and shared-memory setup are excluded, matching the steady
     state a long-lived engine amortizes to.
@@ -164,12 +163,9 @@ def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP,
         "executor": "thread",
         "seconds": serial_best,
         "speedup": 1.0,
-        "strategy": _report.strategy,
+        "backend": _report.backend,
         "n_shards": _report.n_shards,
         "bit_exact": bool((_table == expected).all()),
-        "cache_hit_rate": (
-            _report.cache_stats.hit_rate if _report.cache_stats else 0.0
-        ),
     })
     for executor in executors:
         for workers in workers_sweep[1:]:
@@ -181,12 +177,9 @@ def run_sweep(problem, repeats=3, workers_sweep=WORKER_SWEEP,
                 "executor": executor,
                 "seconds": best,
                 "speedup": serial_best / best,
-                "strategy": report.strategy,
+                "backend": report.backend,
                 "n_shards": report.n_shards,
                 "bit_exact": bool((table == expected).all()),
-                "cache_hit_rate": (
-                    report.cache_stats.hit_rate if report.cache_stats else 0.0
-                ),
             })
     result = {
         "problem": dict(problem),
@@ -212,11 +205,11 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
 
     Times the reference panel (:func:`bit_gemm_reference`) as the
     baseline, then each registered backend that is available and
-    tunable through :func:`repro.blis.gemm.bit_gemm_backend`.  Every
+    tunable, as one serial engine run (one full shard).  Every
     table is checked bit-exact, and one untimed instrumented pass per
     backend asserts the word-op accounting is backend-invariant.
     """
-    from repro.blis.gemm import bit_gemm_backend
+    from repro.parallel import bit_gemm_parallel
     from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
     from repro.observability.tracer import Tracer, set_tracer
     from repro.kernels import registered_backends
@@ -233,7 +226,7 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            bit_gemm_backend(pa, pb, op, backend=name)
+            bit_gemm_parallel(pa, pb, op, workers=1, backend=name)
         finally:
             set_tracer(previous)
         snapshot = tracer.counters.snapshot()
@@ -252,7 +245,7 @@ def run_backend_race(problem, repeats=3, op=ComparisonOp.AND):
         table = None
         for _ in range(repeats):
             start = time.perf_counter()
-            table = bit_gemm_backend(pa, pb, op, backend=info.name)
+            table = bit_gemm_parallel(pa, pb, op, workers=1, backend=info.name)
             best = min(best, time.perf_counter() - start)
         backend_counters = counted(info.name)
         if counters is None:
@@ -326,14 +319,14 @@ def render(result):
             **result["problem"]
         ),
         f"{'executor':>9} {'workers':>8} {'seconds':>9} {'speedup':>8} "
-        f"{'shards':>7} {'hit rate':>9} {'bit-exact':>10}",
+        f"{'shards':>7} {'backend':>8} {'bit-exact':>10}",
     ]
     for row in result["rows"]:
         lines.append(
             f"{row.get('executor', 'thread'):>9} "
             f"{row['workers']:>8} {row['seconds']:>9.4f} "
             f"{row['speedup']:>7.2f}x {row['n_shards']:>7} "
-            f"{row['cache_hit_rate']:>8.0%} "
+            f"{row['backend']:>8} "
             f"{'yes' if row['bit_exact'] else 'NO':>10}"
         )
     if "counters_match" in result:

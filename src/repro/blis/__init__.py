@@ -28,8 +28,6 @@ from repro.blis.packing import pack_a_panel, pack_b_panel, unpack_a_panel
 from repro.blis.gemm import (
     bit_gemm_reference,
     bit_gemm_blocked,
-    bit_gemm_fast,
-    bit_gemm_backend,
 )
 
 __all__ = [
@@ -45,6 +43,4 @@ __all__ = [
     "unpack_a_panel",
     "bit_gemm_reference",
     "bit_gemm_blocked",
-    "bit_gemm_fast",
-    "bit_gemm_backend",
 ]

@@ -1,38 +1,23 @@
 """Popcount-GEMM drivers: ``C[i, j] = sum_k POPC(op(A[i, k], B[j, k]))``.
 
-Three functionally identical drivers with different purposes:
+Two functionally identical drivers with different purposes:
 
 * :func:`bit_gemm_reference` -- the transparent oracle: a literal
-  word-broadcast evaluation.  O(m*n*k) popcounts with an (m, n, k)
-  temporary per row block; used by tests.
+  word-broadcast evaluation (the registered ``numpy`` backend's panel).
+  O(m*n*k) popcounts with an (m, n, k) temporary per row block.
 * :func:`bit_gemm_blocked` -- the BLIS-structured driver: packs panels,
   iterates the five loops, calls the micro-kernel per tile.  This is
-  the code path whose *structure* matches the paper's kernel; the GPU
-  executor reuses its tile walk.
-* :func:`bit_gemm_fast` -- the high-throughput functional path using
-  the algebraic identities
+  the code path whose *structure* matches the paper's kernel; the
+  ``sim`` backend runs the same walk (:func:`blocked_walk`).
 
-      POPC(a & b)  summed over words  =  <bits(a), bits(b)>
-      POPC(a ^ b)                      =  |a| + |b| - 2 <a, b>
-      POPC(a & ~b)                     =  |a| - <a, b>
-
-  evaluated as one integer GEMM over the unpacked bits.  Used to verify
-  large problems where the word-walk would be too slow in Python.
+Production runs do not call these directly: every bit-GEMM goes
+through :class:`repro.parallel.engine.ParallelEngine`, one registered
+backend panel per shard.
 
 All drivers take *row-major packed* operands: A is ``(m, k)`` words,
 B is ``(n, k)`` words (note B is stored row-per-output-column, i.e.
 already "transposed" -- both SNP applications naturally produce this
 layout because every entity is a packed row).
-
-**Gram (symmetric) hint.**  Self-comparisons with a symmetric op
-(AND, XOR, AND_PRENEGATED -- see
-:attr:`~repro.blis.microkernel.ComparisonOp.is_symmetric`) produce
-``C == C.T``.  ``bit_gemm_blocked(..., symmetric=True)`` skips every
-micro-tile lying entirely below the diagonal and fills it afterwards
-by reflecting its (computed) transpose tile, roughly halving the
-word-ops; the :data:`GEMM_WORD_OPS` counter records only the computed
-tiles.  The hint is *validated*: asymmetric ops and non-self operands
-are rejected, so ANDNOT provably never takes the triangular path.
 """
 
 from __future__ import annotations
@@ -40,20 +25,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PackingError
-from repro.blis.blocking import BlockingPlan, tile_ranges
-from repro.blis.microkernel import ComparisonOp, get_microkernel
+from repro.blis.blocking import BlockingPlan
+from repro.blis.microkernel import ComparisonOp, MicroKernel, get_microkernel
 from repro.blis.packing import pack_a_panel, pack_b_panel
 from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
 from repro.observability.tracer import get_tracer
-from repro.util.bitops import popcount, unpack_bits
+from repro.util.bitops import popcount
 
 __all__ = [
+    "HOST_BLOCKING",
     "bit_gemm_reference",
     "bit_gemm_blocked",
-    "bit_gemm_fast",
-    "bit_gemm_backend",
+    "blocked_walk",
     "same_operand",
 ]
+
+#: Host-default blocking parameters: small ``lcm(m_r, n_r)`` so
+#: triangular Gram shard plans can band finely.
+HOST_BLOCKING = {"m_c": 32, "k_c": 256, "m_r": 4, "n_r": 64}
 
 
 def same_operand(a: np.ndarray, b: np.ndarray) -> bool:
@@ -72,30 +61,6 @@ def same_operand(a: np.ndarray, b: np.ndarray) -> bool:
         and bool(a.size)
         and a.__array_interface__["data"] == b.__array_interface__["data"]
     )
-
-
-def _check_symmetric(
-    fn: str, a: np.ndarray, b: np.ndarray, op: ComparisonOp
-) -> None:
-    """Validate a ``symmetric=True`` hint (Gram mode preconditions).
-
-    The same-matrix check accepts equal-*content* copies as well as
-    views: the simulated device pipeline stages operands through
-    buffer copies, so a self-comparison's A and B buffers are distinct
-    arrays with identical words.  The content comparison is O(m*k)
-    words -- noise next to the O(m*n*k) GEMM it guards.
-    """
-    if not op.is_symmetric:
-        raise PackingError(
-            f"{fn}: symmetric=True is invalid for asymmetric op {op.value!r}"
-        )
-    if not same_operand(a, b) and not (
-        a.shape == b.shape and bool(np.array_equal(a, b))
-    ):
-        raise PackingError(
-            f"{fn}: symmetric=True requires a self-comparison "
-            f"(operands must hold the same packed matrix)"
-        )
 
 
 def _check_operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,49 +104,11 @@ def bit_gemm_reference(
     return reference_panel(a, b, kernel, row_block)
 
 
-def bit_gemm_backend(
-    a: np.ndarray,
-    b: np.ndarray,
-    op: ComparisonOp | str = ComparisonOp.AND,
-    backend: str = "auto",
-    symmetric: bool = False,
-) -> np.ndarray:
-    """Evaluate the popcount-GEMM through a registered kernel backend.
-
-    ``backend`` resolves per :func:`repro.kernels.resolve_backend`
-    (``"auto"`` honours ``REPRO_BACKEND`` and defaults to the
-    reference backend).  ``symmetric=True`` is accepted (and
-    validated) for API uniformity with the other drivers, but panel
-    backends compute the full product -- the triangular savings live
-    in the shard plan above this layer -- so the word-op counter
-    records the full ``m * n * k``, matching :func:`bit_gemm_fast`.
-    """
-    from repro.kernels import resolve_backend
-
-    a, b = _check_operands(a, b)
-    kernel = get_microkernel(op)
-    if symmetric:
-        _check_symmetric("bit_gemm_backend", a, b, kernel.op)
-    be = resolve_backend(backend)
-    obs = get_tracer()
-    obs.counters.add(GEMM_CALLS)
-    obs.counters.add(GEMM_WORD_OPS, a.shape[0] * b.shape[0] * a.shape[1])
-    with obs.span(
-        "gemm.backend",
-        backend=be.info.name,
-        m=a.shape[0],
-        n=b.shape[0],
-        k=a.shape[1],
-    ):
-        return be.bit_gemm_panel(a, b, kernel.op)
-
-
 def bit_gemm_blocked(
     a: np.ndarray,
     b: np.ndarray,
     op: ComparisonOp | str = ComparisonOp.AND,
     plan: BlockingPlan | None = None,
-    symmetric: bool = False,
 ) -> np.ndarray:
     """BLIS five-loop evaluation with packed panels.
 
@@ -189,88 +116,48 @@ def bit_gemm_blocked(
     (m_c x n_r C tiles) -> micro-tiles -> micro-kernel.  Cores are
     iterated sequentially here (this is the functional semantics; the
     device executor overlays timing on the same walk).
-
-    ``symmetric=True`` (Gram mode) skips micro-tiles entirely below the
-    diagonal and mirror-fills them from their computed transpose tiles
-    after the walk.  Requires a symmetric op, ``a`` and ``b`` the same
-    matrix, and a square output.
     """
     a, b = _check_operands(a, b)
     kernel = get_microkernel(op)
     m, k = a.shape
     n = b.shape[0]
-    if symmetric:
-        _check_symmetric("bit_gemm_blocked", a, b, kernel.op)
     if plan is None:
-        plan = BlockingPlan(m=m, n=n, k=k, m_c=32, k_c=256, m_r=4, n_r=64)
+        plan = BlockingPlan(m=m, n=n, k=k, **HOST_BLOCKING)
     if (plan.m, plan.n, plan.k) != (m, n, k):
         raise PackingError(
             f"bit_gemm_blocked: plan extents {(plan.m, plan.n, plan.k)} do not "
             f"match operands {(m, n, k)}"
         )
-
     obs = get_tracer()
     obs.counters.add(GEMM_CALLS)
-    skipped_ops = _below_diagonal_ops(plan) if symmetric else 0
-    obs.counters.add(GEMM_WORD_OPS, plan.total_ops() - skipped_ops)
-    c = np.zeros((m, n), dtype=np.int64)
+    obs.counters.add(GEMM_WORD_OPS, plan.total_ops())
     with obs.span("gemm.blocked", m=m, n=n, k=k):
-        for k0, k1 in plan.k_panels():
-            for assign in plan.core_assignments():
-                if assign.is_empty:
-                    continue
-                m0, m1 = assign.m_range
-                n0, n1 = assign.n_range
-                # Loop 3: walk m_c panels of A inside this core's M range,
-                # packing each into the shared-memory layout.
-                for pm0, pm1 in _panel_ranges(m0, m1, plan.m_c):
-                    a_packed = pack_a_panel(a[pm0:pm1, k0:k1], plan.m_r)
-                    # Loops 2/1: n_r micro-panels of B, micro-tiles of C.
-                    for pn0, pn1 in _panel_ranges(n0, n1, plan.n_r):
-                        if symmetric and pm0 >= pn1:
-                            # Every micro-tile in this panel pairing lies
-                            # below the diagonal; skip the B pack too.
-                            continue
-                        b_packed = pack_b_panel(b[pn0:pn1, k0:k1].T, plan.n_r)
-                        _micro_update(
-                            c, a_packed, b_packed, kernel.combine,
-                            pm0, pm1, pn0, pn1, plan.m_r,
-                            symmetric=symmetric,
-                        )
-    if symmetric:
-        _mirror_fill(c, plan)
+        return blocked_walk(a, b, kernel, plan)
+
+
+def blocked_walk(
+    a: np.ndarray, b: np.ndarray, kernel: MicroKernel, plan: BlockingPlan
+) -> np.ndarray:
+    """The five-loop walk itself (validated operands, no accounting)."""
+    c = np.zeros((plan.m, plan.n), dtype=np.int64)
+    for k0, k1 in plan.k_panels():
+        for assign in plan.core_assignments():
+            if assign.is_empty:
+                continue
+            m0, m1 = assign.m_range
+            n0, n1 = assign.n_range
+            # Loop 3: walk m_c panels of A inside this core's M range,
+            # packing each into the shared-memory layout.
+            for pm0, pm1 in _panel_ranges(m0, m1, plan.m_c):
+                a_packed = pack_a_panel(a[pm0:pm1, k0:k1], plan.m_r)
+                # Loops 2/1: n_r micro-panels of B, micro-tiles of C.
+                for pn0, pn1 in _panel_ranges(n0, n1, plan.n_r):
+                    b_packed = pack_b_panel(b[pn0:pn1, k0:k1].T, plan.n_r)
+                    _micro_update(
+                        c, a_packed, b_packed, kernel.combine,
+                        pm0, pm1, pn0, pn1, plan.m_r,
+                    )
     return c
-
-
-def _below_diagonal_ops(plan: BlockingPlan) -> int:
-    """Word-ops of micro-tiles lying entirely below the diagonal.
-
-    These are exactly the tiles Gram mode skips and mirror-fills; all
-    micro-tile boundaries in the five-loop walk land on the global
-    ``tile_ranges`` grid (``m_c`` is a multiple of ``m_r`` and
-    :func:`split_in_units` aligns core boundaries), so this closed-form
-    count matches the tiles the walk skips.
-    """
-    skipped = 0
-    for r0, r1 in tile_ranges(plan.m, plan.m_r):
-        for c0, c1 in tile_ranges(plan.n, plan.n_r):
-            if r0 >= c1:
-                skipped += (r1 - r0) * (c1 - c0) * plan.k
-    return skipped
-
-
-def _mirror_fill(c: np.ndarray, plan: BlockingPlan) -> None:
-    """Fill skipped below-diagonal micro-tiles by transposition.
-
-    A tile is skipped iff ``r0 >= c1``; its source tile at the
-    transposed ranges satisfies ``c0 < r1`` (the two conditions are
-    mutually exclusive for non-empty tiles), so every source was
-    computed during the walk.
-    """
-    for r0, r1 in tile_ranges(plan.m, plan.m_r):
-        for col0, col1 in tile_ranges(plan.n, plan.n_r):
-            if r0 >= col1:
-                c[r0:r1, col0:col1] = c[col0:col1, r0:r1].T
 
 
 def _panel_ranges(start: int, stop: int, block: int) -> list[tuple[int, int]]:
@@ -287,14 +174,8 @@ def _micro_update(
     n0: int,
     n1: int,
     m_r: int,
-    symmetric: bool = False,
 ) -> np.ndarray:
-    """Rank-k_c update of C[m0:m1, n0:n1] from packed panels.
-
-    With ``symmetric=True``, micro-tiles entirely below the diagonal
-    (``rows0 >= cols1``) are skipped; :func:`_mirror_fill` reflects
-    them from their transpose tiles after the full walk.
-    """
+    """Rank-k_c update of C[m0:m1, n0:n1] from packed panels."""
     n_b_panels, k_len, n_r = b_packed.shape
     for pa in range(a_packed.shape[0]):
         # (k, m_r) micro-panel of A.
@@ -311,53 +192,9 @@ def _micro_update(
             live_cols = cols1 - cols0
             if live_cols <= 0:
                 continue
-            if symmetric and rows0 >= cols1:
-                continue
             # Micro-kernel: (m_r, n_r) popcount-accumulate over k.
             combined = combine(
                 a_micro[:, :live_rows, None], b_micro[:, None, :live_cols]
             )
             c[rows0:rows1, cols0:cols1] += popcount(combined).sum(axis=0)
     return c
-
-
-def bit_gemm_fast(
-    a: np.ndarray,
-    b: np.ndarray,
-    op: ComparisonOp | str = ComparisonOp.AND,
-    symmetric: bool = False,
-) -> np.ndarray:
-    """Identity-based evaluation via one integer GEMM over unpacked bits.
-
-    Bit-exact with the other drivers; used for large functional runs.
-    Note XOR/ANDNOT identities act on the *stored words*, so padding
-    bits (always 0 in both operands by construction) contribute 0.
-
-    ``symmetric=True`` is accepted (and validated) for API uniformity
-    with :func:`bit_gemm_blocked`, but the BLAS path computes the full
-    product either way -- one dense GEMM beats a triangular walk in
-    NumPy -- so the word-op counter records the full ``m * n * k``.
-    """
-    a, b = _check_operands(a, b)
-    op = get_microkernel(op).op
-    if symmetric:
-        _check_symmetric("bit_gemm_fast", a, b, op)
-    obs = get_tracer()
-    obs.counters.add(GEMM_CALLS)
-    obs.counters.add(GEMM_WORD_OPS, a.shape[0] * b.shape[0] * a.shape[1])
-    with obs.span("gemm.fast", m=a.shape[0], n=b.shape[0], k=a.shape[1]):
-        # float64 GEMM hits BLAS (orders of magnitude faster than integer
-        # matmul) and is exact here: dot products are bounded by the bit
-        # count k * word_bits, far below 2**53.
-        bits_a = unpack_bits(a).astype(np.float64)
-        bits_b = unpack_bits(b).astype(np.float64)
-        dots = np.rint(bits_a @ bits_b.T).astype(np.int64)
-        if op in (ComparisonOp.AND, ComparisonOp.AND_PRENEGATED):
-            return dots
-        pop_a = popcount(a).sum(axis=1)
-        if op is ComparisonOp.XOR:
-            pop_b = popcount(b).sum(axis=1)
-            return pop_a[:, None] + pop_b[None, :] - 2 * dots
-        if op is ComparisonOp.ANDNOT:
-            return pop_a[:, None] - dots
-        raise PackingError(f"bit_gemm_fast: unhandled op {op!r}")

@@ -16,11 +16,10 @@ workloads::
 The three comparison commands take ``--workers N`` to shard the
 functional bit-GEMM across N host threads (``--workers 0`` picks a
 sensible default for the machine; see :mod:`repro.parallel`), plus
-``--strategy {auto,gemm,blocked}`` to pick the shard strategy
-(``auto`` consults the persisted host tuning cache),
-``--backend {auto,numpy,numba,...}`` to pick the kernel-ABI backend
-computing the bit-GEMM (``auto`` defers to ``REPRO_BACKEND`` and the
-tuner's per-machine winner; see ``docs/KERNELS.md``),
+``--backend {auto,numpy,blas,numba,...}`` to pick the kernel-ABI
+backend computing every shard panel (``auto`` defers to
+``REPRO_BACKEND``, the tuner's per-machine winner, then the size rule;
+see ``docs/KERNELS.md``),
 ``--executor {auto,thread,process}`` to pick the shard executor tier
 (``process`` runs shards in worker processes over shared-memory
 operands; see ``docs/DISTRIBUTED.md``), and ``--no-gram`` to disable
@@ -279,7 +278,6 @@ def _observed_framework(
         algorithm,
         workers=_resolve_workers(args),
         gram=not getattr(args, "no_gram", False),
-        strategy=getattr(args, "strategy", "auto"),
         backend=getattr(args, "backend", "auto"),
         executor=getattr(args, "executor", "auto"),
     )
@@ -360,7 +358,6 @@ def _cmd_ld(args: argparse.Namespace) -> int:
                 device=args.device,
                 workers=_resolve_workers(args),
                 gram=not args.no_gram,
-                strategy=args.strategy,
                 backend=args.backend,
                 executor=args.executor,
                 framework=framework,
@@ -376,7 +373,6 @@ def _cmd_ld(args: argparse.Namespace) -> int:
                 framework=framework,
                 workers=_resolve_workers(args),
                 gram=not args.no_gram,
-                strategy=args.strategy,
                 backend=args.backend,
                 executor=args.executor,
             )
@@ -454,7 +450,6 @@ def _cmd_ld_prune(args: argparse.Namespace) -> int:
             device=args.device,
             workers=_resolve_workers(args),
             gram=not args.no_gram,
-            strategy=args.strategy,
             backend=args.backend,
             executor=args.executor,
             framework=framework,
@@ -492,7 +487,6 @@ def _cmd_clump(args: argparse.Namespace) -> int:
             device=args.device,
             workers=_resolve_workers(args),
             gram=not args.no_gram,
-            strategy=args.strategy,
             backend=args.backend,
             executor=args.executor,
             framework=framework,
@@ -543,7 +537,6 @@ def _cmd_identity_streaming(args: argparse.Namespace) -> int:
             k=args.top_k,
             device=args.device,
             workers=_resolve_workers(args),
-            strategy=args.strategy,
             backend=args.backend,
             executor=args.executor,
             framework=framework,
@@ -596,7 +589,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
             framework=framework,
             workers=_resolve_workers(args),
             gram=not args.no_gram,
-            strategy=args.strategy,
             backend=args.backend,
             executor=args.executor,
         )
@@ -648,7 +640,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             k=args.top_k,
             device=args.device,
             workers=_resolve_workers(args),
-            strategy=args.strategy,
             backend=args.backend,
             executor=args.executor,
             window_s=args.window_ms / 1e3,
@@ -705,7 +696,6 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
                 mixture,
                 device=args.device,
                 workers=_resolve_workers(args),
-                strategy=args.strategy,
                 backend=args.backend,
                 executor=args.executor,
                 framework=framework,
@@ -722,7 +712,6 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
                 framework=framework,
                 workers=_resolve_workers(args),
                 gram=not args.no_gram,
-                strategy=args.strategy,
                 backend=args.backend,
                 executor=args.executor,
             )
@@ -796,13 +785,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lanes) to this JSON file"
     )
     metrics_help = "print the observability counter/span report"
-    strategy_help = (
-        "host shard strategy (auto consults the persisted tuning cache)"
-    )
     backend_help = (
         "kernel-ABI backend for the functional bit-GEMM (auto defers to "
-        "REPRO_BACKEND, then the tuner's per-machine winner; see "
-        "docs/KERNELS.md)"
+        "REPRO_BACKEND, then the tuner's per-machine winner, then the "
+        "word-walk/blas size rule; see docs/KERNELS.md)"
     )
     executor_help = (
         "shard executor tier: thread pool, worker processes over "
@@ -839,10 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_compute_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--workers", type=int, default=None, help=workers_help)
-        cmd.add_argument(
-            "--strategy", default="auto", choices=["auto", "gemm", "blocked"],
-            help=strategy_help,
-        )
         cmd.add_argument(
             "--backend", default="auto",
             choices=["auto", *backend_names()], help=backend_help,

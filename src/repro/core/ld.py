@@ -109,7 +109,6 @@ def linkage_disequilibrium(
     framework: SNPComparisonFramework | None = None,
     workers: int | None = None,
     gram: bool = True,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> LDResult:
@@ -134,9 +133,6 @@ def linkage_disequilibrium(
     gram:
         Allow the symmetric (Gram) fast path -- LD is a
         self-comparison, so this roughly halves the computed word-ops.
-        Ignored when ``framework`` is supplied.
-    strategy:
-        Host shard strategy (``"auto"``/``"gemm"``/``"blocked"``).
         Ignored when ``framework`` is supplied.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
@@ -167,7 +163,7 @@ def linkage_disequilibrium(
     if framework is None:
         framework = SNPComparisonFramework(
             device, Algorithm.LD, workers=workers, gram=gram,
-            strategy=strategy, backend=backend, executor=executor,
+            backend=backend, executor=executor,
         )
     counts, report = framework.run(entities)
     n_obs = entities.shape[1]

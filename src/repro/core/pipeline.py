@@ -121,7 +121,6 @@ def run_pipeline(
     double_buffering: bool = True,
     workers: int | None = None,
     symmetric: bool | None = None,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> tuple[np.ndarray, list[KernelProfile], TilePlan]:
@@ -138,11 +137,10 @@ def run_pipeline(
     row ranges, so per-tile outputs are not symmetric), the kernel is
     launched with the Gram hint and computes only the upper triangle.
     ``False`` disables the hint; ``True`` requires eligibility and
-    raises otherwise.  ``strategy`` selects the host shard strategy,
-    ``backend`` the kernel-ABI backend (:mod:`repro.kernels`), and
-    ``executor`` the shard executor (thread pool or worker processes,
-    :mod:`repro.parallel.procpool`) for each tile's functional
-    table.
+    raises otherwise.  ``backend`` selects the kernel-ABI backend
+    (:mod:`repro.kernels`) and ``executor`` the shard executor (thread
+    pool or worker processes, :mod:`repro.parallel.procpool`) for each
+    tile's functional table.
     """
     context = queue.context
     arch = context.device.arch
@@ -228,7 +226,6 @@ def run_pipeline(
                     label=f"kernel[{tile_idx}]",
                     workers=workers,
                     symmetric=symmetric,
-                    strategy=strategy,
                     backend=backend,
                     executor=executor,
                 )

@@ -4,8 +4,9 @@ This is the Alachiotis et al. [11] algorithm the paper's Section III
 describes: inputs packed into 64-bit bitvectors, BLIS blocking, and a
 micro-kernel of ``AND``/``XOR``/``ANDN`` -> ``POPCNT`` -> ``ADD``.
 
-The implementation is *functional* (it computes exact results via the
-shared :mod:`repro.blis` drivers); the performance claims of the
+The implementation is *functional* (it computes exact results through
+the host compute path, :mod:`repro.parallel.engine`); the performance
+claims of the
 baseline come from :mod:`repro.cpu.timing`, not from timing this Python
 code.  The blocking defaults are scaled to Ivy Bridge's cache sizes the
 same way [11]/BLIS derive them:
@@ -21,10 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast
 from repro.blis.microkernel import ComparisonOp
 from repro.cpu.arch import CPUArchitecture, XEON_E5_2620_V2
 from repro.errors import PackingError
+from repro.parallel.engine import bit_gemm_parallel
 from repro.util.units import kib
 
 __all__ = ["default_cpu_blocking", "cpu_snp_comparison"]
@@ -79,9 +80,10 @@ def cpu_snp_comparison(
     arch:
         CPU description (only ``word_bits`` is semantically relevant).
     use_blocked_path:
-        Force the blocked 5-loop walk (True) or the fast identity path
-        (False).  Default: blocked for small problems (exercises the
-        real structure), fast for large ones.
+        Force the blocked 5-loop walk (True: the ``sim`` backend) or
+        the identity GEMM (False: the ``blas`` backend).  Default:
+        ``backend="auto"`` (its size rule picks the word-walk or
+        ``blas``).
 
     Returns
     -------
@@ -96,11 +98,5 @@ def cpu_snp_comparison(
             f"cpu_snp_comparison: operands must be {expected_dtype.__name__} "
             f"words for {arch.name}, got {a.dtype}/{b.dtype}"
         )
-    m, k = a.shape
-    n = b.shape[0]
-    if use_blocked_path is None:
-        use_blocked_path = m * n * max(k, 1) <= 2_000_000
-    if use_blocked_path:
-        plan = default_cpu_blocking(m, n, k, arch)
-        return bit_gemm_blocked(a, b, op, plan)
-    return bit_gemm_fast(a, b, op)
+    backend = {None: "auto", True: "sim", False: "blas"}[use_blocked_path]
+    return bit_gemm_parallel(a, b, op, workers=1, backend=backend)

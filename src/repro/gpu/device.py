@@ -221,7 +221,6 @@ class CommandQueue:
         accumulate: bool = False,
         workers: int | None = None,
         symmetric: bool | None = None,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
     ) -> tuple[Event, KernelProfile]:
@@ -232,9 +231,8 @@ class CommandQueue:
         dimension); otherwise ``c`` is overwritten.  ``workers`` routes
         the functional compute through the sharded host engine (the
         simulated timing is unaffected -- it prices the device, not the
-        host).  ``symmetric``/``strategy``/``backend``/``executor`` are
-        the Gram-mode hint, shard-strategy choice, kernel-ABI backend,
-        and shard executor forwarded to
+        host).  ``symmetric``/``backend``/``executor`` are the Gram-mode
+        hint, kernel-ABI backend and shard executor forwarded to
         :func:`~repro.gpu.executor.execute_kernel`.
         """
         if kernel.arch is not self.arch:
@@ -248,7 +246,7 @@ class CommandQueue:
         earliest = self._earliest(wait_for)
         result, profile = execute_kernel(
             kernel, a.data, b.data, args, workers=workers,
-            symmetric=symmetric, strategy=strategy, backend=backend,
+            symmetric=symmetric, backend=backend,
             executor=executor,
         )
         if accumulate:

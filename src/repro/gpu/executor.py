@@ -2,14 +2,11 @@
 
 ``execute_kernel`` is where the two halves of the simulation meet:
 
-* the **functional path** computes the exact comparison table with the
-  shared :mod:`repro.blis` drivers -- the blocked five-loop walk for
-  small problems (exercising the genuine tile structure the kernel
-  implements) and the identity-based fast path for large ones (bit
-  exact, see :func:`repro.blis.gemm.bit_gemm_fast`); with
-  ``workers > 1`` it routes through the sharded host engine
-  (:mod:`repro.parallel.engine`) instead, which partitions the same
-  :class:`~repro.blis.blocking.BlockingPlan` across a thread pool;
+* the **functional path** computes the exact comparison table through
+  the one host compute path -- :class:`~repro.parallel.engine.ParallelEngine`
+  (shard plan x registered backend panel x executor), partitioning the
+  kernel's own :class:`~repro.blis.blocking.BlockingPlan` when
+  ``workers > 1``;
 * the **timing path** prices the launch with the analytical cycle
   model (:mod:`repro.gpu.cycles`).
 
@@ -23,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blis.gemm import (
-    bit_gemm_backend,
-    bit_gemm_blocked,
-    bit_gemm_fast,
-    same_operand,
-)
 from repro.errors import KernelLaunchError, ReproError
 from repro.gpu.cycles import CycleBreakdown, kernel_cycles
 from repro.gpu.kernel import KernelArgs, SnpKernel
-from repro.kernels import DEFAULT_BACKEND_NAME, resolve_backend_name
 from repro.observability.counters import KERNEL_LAUNCHES, KERNEL_RETRIES
 from repro.observability.tracer import get_tracer
 from repro.parallel.engine import ParallelReport, get_engine
@@ -43,23 +33,19 @@ __all__ = [
     "KernelProfile",
     "execute_kernel",
     "price_kernel",
-    "BLOCKED_PATH_OP_LIMIT",
 ]
-
-#: Problems up to this many word-ops run the genuine blocked tile walk;
-#: larger ones switch to the bit-exact identity path to keep the Python
-#: functional simulation tractable.
-BLOCKED_PATH_OP_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
 class KernelProfile:
     """Timing and accounting for one simulated kernel launch.
 
-    ``parallel`` carries the host-engine report (shard profiles, cache
-    stats) when the functional path ran sharded; ``None`` for serial
-    and timing-only launches.  ``retries`` counts launch re-attempts
-    after transient (injected) kernel-launch faults.
+    ``used_blocked_path`` marks a functional table computed by the BLIS
+    tile walk (the ``sim`` backend).  ``parallel`` carries the
+    host-engine report (shard profiles) of launches with ``workers > 1``;
+    ``None`` for serial and timing-only launches.  ``retries``
+    counts launch re-attempts after transient (injected) kernel-launch
+    faults.
     """
 
     kernel_name: str
@@ -105,10 +91,8 @@ def execute_kernel(
     a_words: np.ndarray,
     b_words: np.ndarray,
     args: KernelArgs | None = None,
-    force_blocked_path: bool | None = None,
     workers: int | None = None,
     symmetric: bool | None = None,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> tuple[np.ndarray, KernelProfile]:
@@ -123,36 +107,25 @@ def execute_kernel(
         device's word width.
     args:
         Explicit extents; default derives them from the operands.
-    force_blocked_path:
-        Override the functional-path size heuristic (tests use this).
     workers:
-        With ``workers > 1`` the functional table is computed by the
-        sharded host engine on a shared thread pool (bit-exact; the
-        engine falls back to the serial drivers below its crossover).
-        ``None``/``1`` keeps the serial paths.  Ignored when
-        ``force_blocked_path`` pins the serial blocked walk.
+        Host workers the engine shards the functional table across
+        (bit-exact; below its crossover the engine computes one full
+        shard).  ``None``/``1`` computes one full shard inline.
     symmetric:
         Gram-mode hint.  ``None`` auto-detects (same packed matrix on
         both sides + symmetric op); ``True`` requires it (validated);
-        ``False`` disables the triangular path even for
+        ``False`` disables the triangular plan even for
         self-comparisons.
-    strategy:
-        Host-engine shard strategy (``"auto"``/``"gemm"``/
-        ``"blocked"``); ``"auto"`` consults the persisted host tuning
-        cache.  Only used when the engine path runs.
     backend:
-        Kernel-ABI backend (:mod:`repro.kernels`) for the functional
-        table.  ``"auto"`` defers to ``REPRO_BACKEND`` / the tuner /
-        the reference backend; an explicit name is validated.  On the
-        serial path a non-default backend computes the table through
-        :func:`repro.blis.gemm.bit_gemm_backend` (bit-exact); Gram-mode
-        serial runs and pinned blocked walks stay on the reference
-        drivers so their counters and tile structure are unchanged.
+        Kernel-ABI backend (:mod:`repro.kernels`) whose panel computes
+        the functional table.  ``"auto"`` defers to ``REPRO_BACKEND`` /
+        the tuner / the size rule; an explicit name is honoured or
+        rejected (``ConfigurationError``), never replaced.  ``"sim"``
+        runs the BLIS tile walk the device model prices.
     executor:
         Host-engine shard executor (``"auto"``/``"thread"``/
-        ``"process"``): where the engine path runs its shards (see
-        :mod:`repro.parallel.procpool`).  Only used when the engine
-        path runs.
+        ``"process"``): where sharded runs execute (see
+        :mod:`repro.parallel.procpool`).
     """
     a = np.asarray(a_words)
     b = np.asarray(b_words)
@@ -175,15 +148,10 @@ def execute_kernel(
         )
 
     plan = kernel.blocking_plan(args.m, args.n, args.k)
-    use_blocked = (
-        plan.total_ops() <= BLOCKED_PATH_OP_LIMIT
-        if force_blocked_path is None
-        else force_blocked_path
-    )
+    engine = get_engine(workers or 1, backend, executor)
     obs = get_tracer()
     res = get_resilience()
     obs.counters.add(KERNEL_LAUNCHES)
-    parallel_report: ParallelReport | None = None
     launch_retries = 0
     with obs.span(
         "kernel.execute",
@@ -202,37 +170,9 @@ def execute_kernel(
         while True:
             try:
                 res.injector.check("kernel", attempt=attempt)
-                if (
-                    workers is not None
-                    and workers > 1
-                    and force_blocked_path is None
-                ):
-                    c, parallel_report = get_engine(
-                        workers, strategy, backend, executor
-                    ).run(a, b, kernel.op, plan=plan, symmetric=symmetric)
-                    use_blocked = False
-                else:
-                    serial_symmetric = (
-                        kernel.op.is_symmetric and same_operand(a, b)
-                        if symmetric is None
-                        else symmetric
-                    )
-                    resolved = resolve_backend_name(backend)
-                    if (
-                        resolved != DEFAULT_BACKEND_NAME
-                        and not serial_symmetric
-                        and force_blocked_path is None
-                    ):
-                        c = bit_gemm_backend(a, b, kernel.op, backend=resolved)
-                        use_blocked = False
-                    elif use_blocked:
-                        c = bit_gemm_blocked(
-                            a, b, kernel.op, plan, symmetric=serial_symmetric
-                        )
-                    else:
-                        c = bit_gemm_fast(
-                            a, b, kernel.op, symmetric=serial_symmetric
-                        )
+                c, report = engine.run(
+                    a, b, kernel.op, plan=plan, symmetric=symmetric
+                )
                 break
             except ReproError as exc:
                 if (
@@ -250,8 +190,8 @@ def execute_kernel(
         kernel_name=f"snp_{kernel.op.value}",
         device=kernel.arch.name,
         breakdown=breakdown,
-        used_blocked_path=use_blocked,
-        parallel=parallel_report,
+        used_blocked_path=report.backend == "sim",
+        parallel=report if workers is not None and workers > 1 else None,
         retries=launch_retries,
     )
     return c, profile

@@ -14,15 +14,18 @@ down as :class:`KernelBackend` plus a :class:`BackendInfo` capability
 descriptor, and keeps a process-wide registry so the engine, the gpu
 executor, the autotuner and the CLI all resolve backends the same way.
 
-Resolution rules (shared by every layer):
+Resolution rules (shared by every layer, all in
+:func:`resolve_backend_name`):
 
 * an explicit backend name must exist and be available, else
-  :class:`~repro.errors.ConfigurationError`;
-* ``"auto"`` honours the ``REPRO_BACKEND`` environment variable when
-  set (the CI backend matrix forces legs this way), otherwise it
-  defaults to the reference backend -- the persisted host autotuner
-  (:mod:`repro.parallel.tuner`) is what upgrades ``"auto"`` to a
-  measured per-machine winner;
+  :class:`~repro.errors.ConfigurationError` -- a requested backend is
+  honoured or rejected, never silently replaced;
+* ``"auto"`` resolves, in order: the ``REPRO_BACKEND`` environment
+  variable (the CI backend matrix forces legs this way), the persisted
+  host autotuner's measured winner (:mod:`repro.parallel.tuner`), then
+  the size rule -- the ``numpy`` word-walk up to
+  :data:`AUTO_WORD_WALK_MAX_OPS` word-ops, the ``blas`` identity GEMM
+  above;
 * :func:`backend_fingerprint` summarises the installed backend set
   (names + versions) so tuning records are invalidated when a backend
   appears, disappears, or changes version.
@@ -50,6 +53,7 @@ from repro.util.bitops import WORD_BITS_32, pack_bits, popcount
 __all__ = [
     "REPRO_BACKEND_ENV",
     "DEFAULT_BACKEND_NAME",
+    "AUTO_WORD_WALK_MAX_OPS",
     "OPCODES",
     "BackendInfo",
     "KernelBackend",
@@ -64,6 +68,7 @@ __all__ = [
     "env_backend_name",
     "resolve_backend",
     "resolve_backend_name",
+    "backend_identity",
     "backend_fingerprint",
 ]
 
@@ -71,9 +76,21 @@ __all__ = [
 #: (the CI backend matrix sets it per leg).
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
-#: What ``"auto"`` resolves to absent an environment override and a
-#: tuning record: the reference backend, always available.
+#: The reference backend (always available): the word-walk oracle, and
+#: what untuned ``"auto"`` picks for small problems.
 DEFAULT_BACKEND_NAME = "numpy"
+
+#: The size rule untuned ``"auto"`` applies: problems up to this many
+#: word-ops run the ``numpy`` word-walk, larger ones the ``blas``
+#: identity GEMM, whose unpack + GEMM setup dominates small panels.
+#: Measured on a 2-core AVX2 host (served search, 20,000 x 1,024
+#: index): the word-walk wins at up to 8 query rows, ``blas`` from 16,
+#: and a blanket ``blas`` default slows 1-query search from ~20 ms to
+#: ~31 ms.  See docs/PERF.md.
+AUTO_WORD_WALK_MAX_OPS = 1 << 21
+
+#: The backend the size rule picks above :data:`AUTO_WORD_WALK_MAX_OPS`.
+_LARGE_BACKEND_NAME = "blas"
 
 #: Stable integer codes compiled backends dispatch the comparison op
 #: on (AND_PRENEGATED is AND on pre-negated words by construction).
@@ -100,7 +117,7 @@ class BackendInfo:
     """
 
     name: str
-    kind: str  # "reference" | "jit" | "native" | "simulated"
+    kind: str  # "reference" | "blas" | "jit" | "native" | "simulated"
     version: str
     available: bool
     compiled: bool
@@ -307,16 +324,29 @@ def env_backend_name() -> str | None:
     return name
 
 
-def resolve_backend_name(name: str | None = None) -> str:
-    """Resolve a backend spec to a concrete registered name.
+def resolve_backend_name(
+    name: str | None = None,
+    word_ops: int | None = None,
+    tuned: str | None = None,
+) -> str:
+    """Resolve a backend spec to a concrete, available registered name.
 
-    ``None``/``"auto"`` resolves to the ``REPRO_BACKEND`` override or
-    the reference default; explicit names are validated for existence
-    and availability.  (The parallel engine layers the autotuner's
-    per-machine choice on top of this for untuned ``"auto"`` runs.)
+    Explicit names are validated for existence and availability.
+    ``None``/``"auto"`` resolves, in order: the ``REPRO_BACKEND``
+    override, the tuning record's measured winner ``tuned`` (skipped
+    when that backend is no longer available), then the size rule on
+    ``word_ops`` (the word-walk when unknown or at most
+    :data:`AUTO_WORD_WALK_MAX_OPS`, ``blas`` above).
     """
     if name is None or name == "auto":
-        return env_backend_name() or DEFAULT_BACKEND_NAME
+        env_name = env_backend_name()
+        if env_name is not None:
+            return env_name
+        if tuned is not None and backend_available(tuned):
+            return tuned
+        if word_ops is None or word_ops <= AUTO_WORD_WALK_MAX_OPS:
+            return DEFAULT_BACKEND_NAME
+        return _LARGE_BACKEND_NAME
     backend = get_backend(name)
     if not backend.info.available:
         raise ConfigurationError(
@@ -329,6 +359,19 @@ def resolve_backend_name(name: str | None = None) -> str:
 def resolve_backend(name: str | None = None) -> KernelBackend:
     """:func:`resolve_backend_name`, returning the backend object."""
     return get_backend(resolve_backend_name(name))
+
+
+def backend_identity(backend: KernelBackend) -> str:
+    """Implementation identity of one backend: class path, version, state.
+
+    Process workers compare it with the parent's: the same name bound
+    to a different implementation (a shadowing registration, a partial
+    install, version skew) must fail loudly, not compute elsewhere.
+    """
+    info = backend.info
+    cls = type(backend)
+    state = "available" if info.available else "unavailable"
+    return f"{cls.__module__}.{cls.__qualname__}/{info.version}/{state}"
 
 
 def backend_fingerprint() -> str:

@@ -17,15 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blis.blocking import BlockingPlan
+from repro.blis.gemm import HOST_BLOCKING, blocked_walk
 from repro.blis.microkernel import ComparisonOp, get_microkernel
-from repro.blis.packing import pack_a_panel, pack_b_panel
 from repro.kernels.abi import BackendInfo, KernelBackend, check_panel_operands
 
 __all__ = ["SimulatedDeviceBackend"]
-
-#: The device-class blocking the simulated walk tiles with (matches the
-#: host default in :mod:`repro.parallel.engine`).
-_SIM_BLOCKING = {"m_c": 32, "k_c": 256, "m_r": 4, "n_r": 64}
 
 
 class SimulatedDeviceBackend(KernelBackend):
@@ -52,25 +48,7 @@ class SimulatedDeviceBackend(KernelBackend):
         b: np.ndarray,
         op: ComparisonOp | str = ComparisonOp.AND,
     ) -> np.ndarray:
-        # Lazy import: repro.blis.gemm lazily imports this package for
-        # its backend driver, so the module-level edge must stay one-way.
-        from repro.blis.gemm import _micro_update, _panel_ranges
-
         a, b, op = check_panel_operands(a, b, op)
-        kernel = get_microkernel(op)
         m, k = a.shape
-        n = b.shape[0]
-        c = np.zeros((m, n), dtype=np.int64)
-        if m == 0 or n == 0 or k == 0:
-            return c
-        plan = BlockingPlan(m=m, n=n, k=k, **_SIM_BLOCKING)
-        for k0, k1 in plan.k_panels():
-            for pm0, pm1 in _panel_ranges(0, m, plan.m_c):
-                a_packed = pack_a_panel(a[pm0:pm1, k0:k1], plan.m_r)
-                for pn0, pn1 in _panel_ranges(0, n, plan.n_r):
-                    b_packed = pack_b_panel(b[pn0:pn1, k0:k1].T, plan.n_r)
-                    _micro_update(
-                        c, a_packed, b_packed, kernel.combine,
-                        pm0, pm1, pn0, pn1, plan.m_r,
-                    )
-        return c
+        plan = BlockingPlan(m=m, n=b.shape[0], k=k, **HOST_BLOCKING)
+        return blocked_walk(a, b, get_microkernel(op), plan)

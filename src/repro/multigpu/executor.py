@@ -90,7 +90,6 @@ def run_multi_gpu(
     b_bits: np.ndarray,
     workers: int | None = None,
     gram: bool = True,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> tuple[np.ndarray, MultiGPUReport]:
@@ -105,7 +104,7 @@ def run_multi_gpu(
     (:func:`repro.parallel.get_engine`), all simulated devices share
     **one** thread pool rather than spawning one per device.
 
-    ``gram``/``strategy``/``backend``/``executor`` forward to each
+    ``gram``/``backend``/``executor`` forward to each
     device's framework.  Note a
     partitioned run rarely benefits from Gram mode: each device
     compares the full query against a *slice* of the database, which
@@ -163,7 +162,6 @@ def run_multi_gpu(
                         algorithm,
                         workers=workers,
                         gram=gram,
-                        strategy=strategy,
                         backend=backend,
                         executor=executor,
                     )

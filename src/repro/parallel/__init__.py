@@ -1,14 +1,13 @@
 """Host-side parallel execution engine for the functional bit-GEMM.
 
 The BLIS five-loop structure exposes independent ``m_r x n_r`` output
-tiles; this package shards them across a host thread pool:
+tiles; this package shards them across host workers and computes every
+shard as one registered kernel-backend panel -- the one compute path
+every bit-GEMM in the package takes:
 
 * :mod:`repro.parallel.plan` -- :class:`ShardPlan`, derived from the
   device :class:`~repro.blis.blocking.BlockingPlan` so host sharding
   and device blocking share one partitioning arithmetic;
-* :mod:`repro.parallel.cache` -- the byte-budgeted LRU
-  :class:`PanelCache` that lets shards sharing a ``k_c`` panel pack it
-  once;
 * :mod:`repro.parallel.engine` -- :class:`ParallelEngine`,
   :func:`bit_gemm_parallel`, and the process-wide :func:`get_engine`
   pool registry (one pool shared across simulated devices);
@@ -16,13 +15,12 @@ tiles; this package shards them across a host thread pool:
   the ``executor="process"`` tier: worker processes with operands
   published through shared memory / mmap (``docs/DISTRIBUTED.md``);
 * :mod:`repro.parallel.tuner` -- the persisted host autotuner that
-  ``strategy="auto"`` (and ``executor="auto"``) consults
+  ``backend="auto"`` (and ``executor="auto"``) consults
   (:func:`tune_problem`, :func:`lookup_tuned`).
 
-Self-comparisons with a symmetric op take the Gram path: triangular
-shard plans (:meth:`ShardPlan.triangular`) compute only the diagonal
-and upper triangle and mirror the rest by transposition, and the
-panel cache deduplicates A-side/B-side entries of the same matrix.
+Sharded self-comparisons with a symmetric op take the Gram path:
+triangular shard plans (:meth:`ShardPlan.triangular`) compute only the
+diagonal and upper triangle and mirror the rest by transposition.
 
 Entry points that accept ``workers`` --
 :func:`repro.gpu.executor.execute_kernel`, the framework/pipeline, the
@@ -32,7 +30,6 @@ through this package.  See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
 
 from typing import TYPE_CHECKING, Any
 
-from repro.parallel.cache import CacheStats, PanelCache
 from repro.parallel.engine import (
     EXECUTORS,
     PARALLEL_CROSSOVER_OPS,
@@ -54,9 +51,7 @@ from repro.parallel.tuner import (
 )
 
 __all__ = [
-    "CacheStats",
     "EXECUTORS",
-    "PanelCache",
     "PARALLEL_CROSSOVER_OPS",
     "ProcessShardExecutor",
     "REPRO_EXECUTOR_ENV",

@@ -1,82 +1,48 @@
-"""Parallel sharded execution of the functional bit-GEMM.
+"""The one compute path: every bit-GEMM is shard plan x backend panel.
 
-The host-side counterpart of the paper's core-grid parallelism: the
-output C is partitioned into shards (:mod:`repro.parallel.plan`), each
-shard runs on a ``concurrent.futures`` thread pool -- the NumPy
-bitwise/popcount/GEMM kernels release the GIL, so shards genuinely
-overlap on multicore hosts -- and every shard writes its disjoint
-block of the shared output array (the partial-``gamma`` reduction is
-race-free by construction).
+:meth:`ParallelEngine.run` is how the package computes
+``C[i, j] = sum_k POPC(op(A[i, k], B[j, k]))`` -- the framework, the
+simulated-device executor, streaming, LD prune/clump, serving and the
+CPU baseline all reach compute through it.  One run is one loop:
 
-Two shard strategies, both bit-exact with
-:func:`repro.blis.gemm.bit_gemm_reference`:
+1. **Shard plan.**  Serial runs (``workers == 1``, or problems below
+   the crossover) compute one full shard.  Sharded runs partition C
+   with :class:`~repro.parallel.plan.ShardPlan`: the full plan, or for
+   Gram products the triangular plan.
+2. **Backend panel.**  Every shard's block is one call to a registered
+   kernel backend's ``bit_gemm_panel`` (:mod:`repro.kernels`).
+   ``backend="auto"`` resolves once per run through
+   :func:`repro.kernels.resolve_backend_name`: ``REPRO_BACKEND``, then
+   the tuning record's measured winner, then the size rule (``numpy``
+   word-walk for small problems, ``blas`` identity GEMM above
+   :data:`~repro.kernels.AUTO_WORD_WALK_MAX_OPS`).  An explicit backend
+   is honoured or rejected with :class:`~repro.errors.ConfigurationError`,
+   never replaced.
+3. **Executor.**  Shards run inline, on a thread pool (the NumPy/BLAS
+   and compiled kernels release the GIL, so shards overlap), or on the
+   process pool (:mod:`repro.parallel.procpool`).  ``executor="auto"``
+   honours ``REPRO_EXECUTOR``, then the tuning record, then threads.
 
-* ``"blocked"`` -- the genuine BLIS walk: per ``k_c`` panel, pack A/B
-  micro-panels (through the shared :class:`~repro.parallel.cache.PanelCache`)
-  and run the popcount micro-kernel over batched groups of micro-tiles.
-* ``"gemm"`` -- the throughput path: per ``k_c`` panel, unpack the
-  shard's rows to float32 bit matrices (cached, so shards sharing a
-  panel unpack it once) and evaluate the popcount identities
-  (``POPC(a & b)`` summed = ``<bits(a), bits(b)>`` etc.) as one BLAS
-  GEMM.  Exact: per-panel dot products are bounded by
-  ``k_c * word_bits``, far below float32's 2**24 integer limit (panels
-  beyond that bound fall back to float64).
-
-``"auto"`` (the default) consults the persisted host tuning cache
-(:mod:`repro.parallel.tuner`) for a strategy measured on this host;
-absent a record it picks ``"gemm"``.  Problems below the crossover
-threshold -- or ``workers=1`` -- take the serial fallback through the
-existing :mod:`repro.blis.gemm` drivers, so the engine is safe to
-leave enabled everywhere.
-
-**Kernel backends.**  Orthogonally to the shard strategy, the engine
-accepts a kernel-ABI backend (:mod:`repro.kernels`).  A non-reference
-backend (``"numba"``, ``"cnative"``, ``"sim"``) replaces the shard
-compute with the backend's ``bit_gemm_panel`` (reported as strategy
-``"panel"``) and the serial fallback with the
-:func:`~repro.blis.gemm.bit_gemm_backend` driver; the reference
-``"numpy"`` backend keeps the strategies above.  ``backend="auto"``
-resolves, in order: the ``REPRO_BACKEND`` environment variable, the
-tuning record's measured winner (the tuner races backends exactly as
-it races strategies), then the reference backend.  Deterministic
-counters are backend-invariant: shard kernels record the same
-``GEMM_WORD_OPS``/``SHARDS_EXECUTED`` whichever backend computes the
-block, and symmetric *serial* runs always keep the triangular
-reference walk so Gram-mode accounting never drifts.
+Every shard writes its disjoint block of the shared output, so the
+partial-``gamma`` reduction is race-free by construction, and every
+executor runs shards through the same :func:`execute_shard`
+retry/quarantine/verify ladder -- results are bit-exact across
+executors and the deterministic counters match.
 
 **Gram mode.**  When both operands are the *same* packed matrix
-(``same_operand``) and the op is symmetric, the output satisfies
-``C == C.T`` and the engine switches to a triangular shard plan
+(``same_operand``) and the op is symmetric, ``C == C.T`` and sharded
+runs use the triangular plan
 (:meth:`~repro.parallel.plan.ShardPlan.triangular`): only diagonal and
 upper-triangular shards are computed; each off-diagonal shard also
-reflects its block into the transpose slot (``mirror=True``,
-counted by :data:`SHARDS_MIRRORED`).  The :data:`GEMM_WORD_OPS`
-counter records only *computed* word-ops, so Gram runs show roughly
-``(g + 1) / (2 g)`` of the full-path count.  Self-comparisons also
-deduplicate panel cache entries across operand sides: the A-side and
-B-side unpacked panels of the same row range share one entry
-(:data:`~repro.observability.counters.PANEL_DEDUP_HITS`).
+reflects its block into the transpose slot (``mirror=True``, counted by
+:data:`SHARDS_MIRRORED`).  :data:`GEMM_WORD_OPS` records only
+*computed* word-ops, so Gram runs show roughly ``(g + 1) / (2 g)`` of
+the full count.  Serial Gram runs compute the one full shard: a single
+full panel measured faster than the triangular plan run inline.
 
-**Executors.**  A third axis, orthogonal to strategy and backend,
-selects *where* shards run: ``executor="thread"`` (the default pool
-above), ``"process"`` (a :class:`~repro.parallel.procpool.ProcessShardExecutor`
-pool of worker processes with operands published through
-shared memory / mmap -- see :mod:`repro.parallel.procpool`), or
-``"auto"`` which honours the ``REPRO_EXECUTOR`` environment variable,
-then the tuning cache's measured winner, then threads.  All three
-paths -- serial, threaded, process -- execute shards through the same
-:meth:`ParallelEngine._execute_shard` retry/quarantine/verify ladder,
-so results are bit-exact across executors and the deterministic
-counters match (worker processes ship per-shard counter deltas that
-the parent merges).  Worker-process loss generalizes the resilience
-ladder's device-loss rung: lost workers' shards re-run on survivors
-and the run's :class:`~repro.resilience.report.ResilienceReport`
-carries ``workers_lost``.
-
-Per-shard timing and cache accounting surface as
-:class:`ShardProfile` records (the host-side analogue of
-:class:`repro.gpu.executor.KernelProfile`) inside a
-:class:`ParallelReport`.
+Per-shard timing surfaces as :class:`ShardProfile` records (the
+host-side analogue of :class:`repro.gpu.executor.KernelProfile`)
+inside a :class:`ParallelReport`.
 """
 
 from __future__ import annotations
@@ -87,32 +53,26 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import (
-    bit_gemm_backend,
-    bit_gemm_blocked,
-    bit_gemm_fast,
-    bit_gemm_reference,
-    same_operand,
-)
-from repro.kernels import (
-    DEFAULT_BACKEND_NAME,
-    KernelBackend,
-    backend_available,
-    env_backend_name,
-    get_backend,
-)
-from repro.blis.microkernel import ComparisonOp, get_microkernel
-from repro.blis.packing import pack_a_panel, pack_b_panel
+from repro.blis.gemm import HOST_BLOCKING, bit_gemm_reference, same_operand
+from repro.blis.microkernel import ComparisonOp
 from repro.errors import (
     ConfigurationError,
     PackingError,
     ReproError,
     ShardExecutionError,
+)
+from repro.kernels import (
+    DEFAULT_BACKEND_NAME,
+    KernelBackend,
+    check_panel_operands,
+    env_backend_name,
+    get_backend,
+    resolve_backend_name,
 )
 from repro.observability.counters import (
     GEMM_CALLS,
@@ -127,22 +87,16 @@ from repro.observability.counters import (
 )
 from repro.observability.report import MetricsReport
 from repro.observability.tracer import get_tracer
-from repro.parallel.cache import DEFAULT_BUDGET_BYTES, CacheStats, PanelCache
 from repro.parallel.plan import TRIANGULAR_MIN_BANDS, Shard, ShardPlan
 from repro.resilience.faults import FiredFault
 from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import Disposition, classify
 from repro.resilience.runtime import ResilienceContext, get_resilience
-from repro.util.bitops import popcount, unpack_bits
 from repro.util.validation import check_workers
 
 if TYPE_CHECKING:
     from repro.parallel.procpool import ProcessShardExecutor
     from repro.parallel.tuner import TuningRecord
-
-#: Shard kernel contract: (shard, a, b, op, plan, cache, dedup) ->
-#: (output block, cache hits, cache misses).
-ShardCompute = Callable[..., "tuple[np.ndarray, int, int]"]
 
 __all__ = [
     "EXECUTORS",
@@ -152,6 +106,7 @@ __all__ = [
     "ParallelReport",
     "ParallelEngine",
     "bit_gemm_parallel",
+    "execute_shard",
     "get_engine",
 ]
 
@@ -164,24 +119,9 @@ REPRO_EXECUTOR_ENV = "REPRO_EXECUTOR"
 #: Valid ``executor=`` arguments.
 EXECUTORS = ("auto", "thread", "process")
 
-#: Problems below this many packed-word operations run the serial
-#: fallback: pool dispatch and panel-cache bookkeeping cost more than
-#: they save on small tables.
+#: Problems below this many packed-word operations run serially: pool
+#: dispatch costs more than it saves on small tables.
 PARALLEL_CROSSOVER_OPS = 1 << 21
-
-#: Serial fallback stays on the genuine blocked walk up to this many
-#: word-ops (mirrors the GPU executor's functional-path heuristic),
-#: then switches to the identity-based fast driver.
-SERIAL_BLOCKED_OP_LIMIT = 2_000_000
-
-#: float32 dot products are exact below 2**24; wider k_c panels use
-#: float64 for the GEMM strategy.
-_FLOAT32_EXACT_BITS = 1 << 24
-
-#: Host-default blocking parameters (also the ``plan=None`` default in
-#: :meth:`ParallelEngine.run`): small ``lcm(m_r, n_r)`` so triangular
-#: Gram plans can band finely.
-_HOST_BLOCKING = {"m_c": 32, "k_c": 256, "m_r": 4, "n_r": 64}
 
 
 def _gram_blocking(plan: BlockingPlan) -> BlockingPlan:
@@ -197,23 +137,14 @@ def _gram_blocking(plan: BlockingPlan) -> BlockingPlan:
     unaffected (it is priced off the kernel's own plan upstream).
     """
     given_unit = math.lcm(plan.m_r, plan.n_r)
-    host_unit = math.lcm(_HOST_BLOCKING["m_r"], _HOST_BLOCKING["n_r"])
+    host_unit = math.lcm(HOST_BLOCKING["m_r"], HOST_BLOCKING["n_r"])
     if given_unit <= host_unit:
         return plan
     given_bands = max(1, plan.m // given_unit)
     host_bands = max(1, plan.m // host_unit)
     if given_bands >= min(TRIANGULAR_MIN_BANDS, host_bands):
         return plan
-    return BlockingPlan(m=plan.m, n=plan.n, k=plan.k, **_HOST_BLOCKING)
-
-
-#: A micro-panels are batched in groups through the micro-kernel so
-#: one NumPy dispatch covers ``group * n_panels`` micro-tiles.
-_BLOCKED_GROUP = 4
-
-#: The batched micro-kernel chunks the k dimension to bound the
-#: broadcast temporary (words).
-_BLOCKED_K_CHUNK = 64
+    return BlockingPlan(m=plan.m, n=plan.n, k=plan.k, **HOST_BLOCKING)
 
 
 @dataclass(frozen=True)
@@ -238,9 +169,6 @@ class ShardProfile:
     n_range: tuple[int, int]
     word_ops: int
     seconds: float
-    strategy: str
-    cache_hits: int
-    cache_misses: int
     mirrored: bool = False
     retries: int = 0
     quarantined: bool = False
@@ -255,29 +183,29 @@ class ShardProfile:
 
 @dataclass
 class ParallelReport:
-    """What one engine run did: plan, per-shard records, cache stats.
+    """What one engine run did: backend, shard plan, per-shard records.
 
     ``metrics`` carries the run-scoped observability delta (counters
     plus span aggregates) when tracing was enabled; ``None`` otherwise.
     ``resilience`` carries the fault-tolerance accounting when a
     resilience context was active during the run; ``None`` otherwise.
-    ``executor`` names the resolved shard executor (``"thread"`` or
-    ``"process"`` -- serial fallbacks report the executor the run
-    *would* have sharded on).  For process runs, ``worker_events``
-    carries injector events that fired inside worker processes plus
-    the parent-synthesized ``worker-lost`` events, and
+    ``shard_plan`` is the sharded run's plan (``None`` for serial runs,
+    which compute one full shard).  ``symmetric`` marks a triangular
+    Gram plan.  ``executor`` names the tier that ran the shards:
+    ``"process"`` for the process pool, ``"thread"`` otherwise
+    (inline runs included).  For process runs,
+    ``worker_events`` carries injector events that fired inside worker
+    processes plus ``worker-lost`` records of genuine crashes, and
     ``workers_lost`` counts worker processes that died mid-run (their
     shards were re-executed on the survivors).
     """
 
     workers: int
-    strategy: str
     used_parallel: bool
     seconds: float
     backend: str = DEFAULT_BACKEND_NAME
     shard_plan: ShardPlan | None = None
     shard_profiles: list[ShardProfile] = field(default_factory=list)
-    cache_stats: CacheStats | None = None
     metrics: MetricsReport | None = None
     symmetric: bool = False
     resilience: ResilienceReport | None = None
@@ -318,28 +246,6 @@ class ParallelReport:
         return self.total_word_ops / self.seconds if self.seconds > 0 else 0.0
 
 
-def _check_operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    for name, arr in (("A", a), ("B", b)):
-        if arr.ndim != 2:
-            raise PackingError(f"bit_gemm_parallel: {name} must be 2-D packed words")
-        if arr.dtype not in (np.uint8, np.uint16, np.uint32, np.uint64):
-            raise PackingError(
-                f"bit_gemm_parallel: {name} has non-word dtype {arr.dtype}"
-            )
-    if a.dtype != b.dtype:
-        raise PackingError(
-            f"bit_gemm_parallel: dtype mismatch ({a.dtype} vs {b.dtype})"
-        )
-    if a.shape[1] != b.shape[1]:
-        raise PackingError(
-            f"bit_gemm_parallel: k mismatch (A has {a.shape[1]} words, "
-            f"B has {b.shape[1]})"
-        )
-    return a, b
-
-
 def _check_symmetric_run(a: np.ndarray, b: np.ndarray, op: ComparisonOp) -> None:
     """Validate an explicit ``symmetric=True`` Gram request.
 
@@ -363,29 +269,23 @@ def _check_symmetric_run(a: np.ndarray, b: np.ndarray, op: ComparisonOp) -> None
 
 
 class ParallelEngine:
-    """Shards one bit-GEMM across a host thread pool.
+    """Runs one bit-GEMM as shard plan x backend panel x executor.
 
     Parameters
     ----------
     workers:
-        Pool threads.  Default: ``os.cpu_count()``.  ``1`` always takes
-        the serial fallback.
-    cache_bytes:
-        Byte budget of the per-run packed-panel cache.
-    strategy:
-        ``"auto"`` (= ``"gemm"``), ``"gemm"``, or ``"blocked"``.
+        Pool size.  Default: ``os.cpu_count()``.  ``1`` always computes
+        one full shard inline.
     oversubscribe:
         Shards per worker the plan aims for (see :class:`ShardPlan`).
     crossover_ops:
         Problems below this many word-ops run serially.
     backend:
-        Kernel-ABI backend (:mod:`repro.kernels`).  ``"auto"`` honours
-        the ``REPRO_BACKEND`` environment variable, then the persisted
-        tuning record for the problem's size class, then the reference
-        backend.  A non-reference backend swaps the shard compute for
-        its :meth:`~repro.kernels.KernelBackend.bit_gemm_panel`
-        (word-op accounting unchanged -- shards record the same counts
-        whichever backend computes them).
+        Kernel-ABI backend (:mod:`repro.kernels`) whose
+        ``bit_gemm_panel`` computes every shard.  ``"auto"`` resolves
+        per run: the ``REPRO_BACKEND`` environment variable, the
+        persisted tuning record for the problem's size class, then the
+        size rule.  Word-op accounting is backend-invariant.
     executor:
         Where shards run: ``"thread"`` (in-process pool),
         ``"process"`` (worker processes with shared-memory operands,
@@ -398,13 +298,9 @@ class ParallelEngine:
     every simulated device, so a multi-GPU run shares a single pool.
     """
 
-    STRATEGIES = ("auto", "gemm", "blocked")
-
     def __init__(
         self,
         workers: int | None = None,
-        cache_bytes: int = DEFAULT_BUDGET_BYTES,
-        strategy: str = "auto",
         oversubscribe: int = 2,
         crossover_ops: int = PARALLEL_CROSSOVER_OPS,
         backend: str = "auto",
@@ -418,11 +314,6 @@ class ParallelEngine:
             # ConfigurationError subclasses ValueError, so callers
             # catching either see the shared validator's message.
             raise ConfigurationError(str(exc)) from None
-        if strategy not in self.STRATEGIES:
-            raise ConfigurationError(
-                f"ParallelEngine: unknown strategy {strategy!r} "
-                f"(valid: {', '.join(self.STRATEGIES)})"
-            )
         if executor not in EXECUTORS:
             raise ConfigurationError(
                 f"ParallelEngine: unknown executor {executor!r} "
@@ -431,8 +322,6 @@ class ParallelEngine:
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.workers = workers
-        self.cache_bytes = cache_bytes
-        self.strategy = strategy
         self.oversubscribe = oversubscribe
         self.crossover_ops = crossover_ops
         self.backend = backend
@@ -492,8 +381,7 @@ class ParallelEngine:
         (default) auto-detects (same matrix on both sides + symmetric
         op), ``True`` requires and validates it, ``False`` disables it.
         """
-        a, b = _check_operands(a, b)
-        op = get_microkernel(op).op
+        a, b, op = check_panel_operands(a, b, op)
         m, k = a.shape
         n = b.shape[0]
         if symmetric is None:
@@ -501,63 +389,37 @@ class ParallelEngine:
         elif symmetric:
             _check_symmetric_run(a, b, op)
         if plan is None:
-            plan = BlockingPlan(m=m, n=n, k=k, **_HOST_BLOCKING)
+            plan = BlockingPlan(m=m, n=n, k=k, **HOST_BLOCKING)
         if (plan.m, plan.n, plan.k) != (m, n, k):
             raise PackingError(
                 f"ParallelEngine.run: plan extents {(plan.m, plan.n, plan.k)} "
                 f"do not match operands {(m, n, k)}"
             )
-        if symmetric:
-            plan = _gram_blocking(plan)
         total_ops = plan.total_ops()
-        strategy = self.strategy
-        crossover = self.crossover_ops
-        backend_name = self.backend
-        if backend_name == "auto":
-            env_name = env_backend_name()
-            if env_name is not None:
-                backend_name = env_name
-        executor = self.executor
-        if executor == "auto":
-            env_executor = os.environ.get(REPRO_EXECUTOR_ENV, "").strip()
-            if env_executor:
-                if env_executor not in ("thread", "process"):
-                    raise ConfigurationError(
-                        f"{REPRO_EXECUTOR_ENV}: unknown executor "
-                        f"{env_executor!r} (valid: thread, process)"
-                    )
-                executor = env_executor
+        backend_spec = self.backend
+        if backend_spec == "auto":
+            backend_spec = env_backend_name() or "auto"
+        executor = self._resolve_executor()
         tuned: TuningRecord | None = None
-        if strategy == "auto" or backend_name == "auto" or executor == "auto":
+        if backend_spec == "auto" or executor == "auto":
             tuned, executor = self._consult_tuner(
                 op, m, n, k, a.dtype.itemsize * 8, executor
             )
-        if strategy == "auto":
-            if tuned is not None:
-                # "panel" records belong to a backend run; the numpy
-                # strategies fall back to the default in that case.
-                if tuned.strategy in ("gemm", "blocked"):
-                    strategy = tuned.strategy
-                else:
-                    strategy = "gemm"
-                if symmetric and not tuned.triangular:
-                    symmetric = False
-                if tuned.crossover_ops is not None:
-                    crossover = tuned.crossover_ops
-            else:
-                strategy = "gemm"
-        if backend_name == "auto":
-            # Untuned auto stays on the reference backend; the tuner's
-            # measured per-machine winner upgrades it.
-            if tuned is not None and backend_available(tuned.backend):
-                backend_name = tuned.backend
-            else:
-                backend_name = DEFAULT_BACKEND_NAME
+        backend_name = resolve_backend_name(
+            backend_spec, total_ops, tuned.backend if tuned else None
+        )
+        crossover = self.crossover_ops
+        if tuned is not None and backend_spec == "auto":
+            # The record's plan preferences travel with its backend.
+            symmetric = symmetric and tuned.triangular
+            if tuned.crossover_ops is not None:
+                crossover = tuned.crossover_ops
         use_parallel = (
             self.workers > 1 and total_ops >= crossover
             if force_parallel is None
-            else force_parallel and self.workers >= 1
+            else force_parallel
         )
+        symmetric = symmetric and use_parallel
         obs = get_tracer()
         res = get_resilience()
         counters_before = obs.counters.snapshot() if obs.enabled else None
@@ -565,16 +427,11 @@ class ParallelEngine:
         events_before = res.injector.n_fired()
         with obs.span(
             "parallel.run", m=m, n=n, k=k, workers=self.workers
-        ).set(parallel=use_parallel, symmetric=symmetric):
-            if not use_parallel:
-                c, report = self._run_serial(
-                    a, b, op, plan, total_ops, symmetric, backend_name
-                )
-            else:
-                c, report = self._run_sharded(
-                    a, b, op, plan, strategy, symmetric, backend_name,
-                    executor,
-                )
+        ).set(parallel=use_parallel, symmetric=symmetric, backend=backend_name):
+            c, report = self._execute(
+                a, b, op, plan, use_parallel, symmetric, backend_name,
+                executor, res,
+            )
         obs.counters.add(HOST_ENGINE_SECONDS, report.seconds)
         if obs.enabled:
             report.metrics = MetricsReport.from_delta(
@@ -582,7 +439,7 @@ class ParallelEngine:
             )
         if res.active or report.workers_lost:
             # Worker-process events (injector firings shipped from
-            # workers plus parent-synthesized worker-lost records) join
+            # workers plus worker-lost records of genuine crashes) join
             # the parent injector's log, keeping `fired_count` exact
             # across executors; thread/serial runs ship none.  Without
             # an active context the null injector drops absorbed
@@ -609,6 +466,20 @@ class ParallelEngine:
                 events=events,
             )
         return c, report
+
+    def _resolve_executor(self) -> str:
+        """``self.executor`` with ``"auto"`` resolved against the env."""
+        if self.executor != "auto":
+            return self.executor
+        env_executor = os.environ.get(REPRO_EXECUTOR_ENV, "").strip()
+        if not env_executor:
+            return "auto"
+        if env_executor not in ("thread", "process"):
+            raise ConfigurationError(
+                f"{REPRO_EXECUTOR_ENV}: unknown executor "
+                f"{env_executor!r} (valid: thread, process)"
+            )
+        return env_executor
 
     def _consult_tuner(
         self,
@@ -654,537 +525,215 @@ class ParallelEngine:
         except Exception:  # pragma: no cover - defensive degradation
             return None, fallback
 
-    # -- serial fallback ---------------------------------------------------------
+    # -- the loop --------------------------------------------------------------
 
-    def _run_serial(
+    def _execute(
         self,
         a: np.ndarray,
         b: np.ndarray,
         op: ComparisonOp,
         plan: BlockingPlan,
-        total_ops: int,
-        symmetric: bool = False,
-        backend_name: str = DEFAULT_BACKEND_NAME,
+        use_parallel: bool,
+        symmetric: bool,
+        backend_name: str,
+        executor: str,
+        res: ResilienceContext,
     ) -> tuple[np.ndarray, ParallelReport]:
-        res = get_resilience()
-        if backend_name != DEFAULT_BACKEND_NAME and not symmetric:
-            # Non-reference backends compute whole panels; symmetric
-            # serial runs stay on the triangular reference walk so
-            # Gram-mode word-op accounting is identical across
-            # backends (the panel ABI has no triangular form -- the
-            # savings live in the shard plan, which serial runs skip).
-            strategy = "serial-panel"
-
-            def driver() -> np.ndarray:
-                return bit_gemm_backend(a, b, op, backend=backend_name)
-
-        elif total_ops <= SERIAL_BLOCKED_OP_LIMIT:
-            backend_name = DEFAULT_BACKEND_NAME
-            strategy = "serial-blocked"
-
-            def driver() -> np.ndarray:
-                return bit_gemm_blocked(a, b, op, plan, symmetric=symmetric)
-
-        else:
-            backend_name = DEFAULT_BACKEND_NAME
-            strategy = "serial-fast"
-
-            def driver() -> np.ndarray:
-                return bit_gemm_fast(a, b, op, symmetric=symmetric)
-
-        def compute(
-            shard: Shard,
-            a_: np.ndarray,
-            b_: np.ndarray,
-            op_: ComparisonOp,
-            plan_: BlockingPlan,
-            cache_: PanelCache | None,
-            dedup_: bool,
-        ) -> tuple[np.ndarray, int, int]:
-            get_tracer().counters.add(SHARDS_EXECUTED)
-            return driver(), 0, 0
-
-        # The serial run goes through the same resilient wrapper as
-        # pool shards, addressed as shard 0 -- one fault model whether
-        # or not the crossover picked the pool.
-        whole = Shard(
-            shard_id=0,
-            grid_row=0,
-            grid_col=0,
-            m_range=(0, plan.m),
-            n_range=(0, plan.n),
-        )
-        start = time.perf_counter()
-        c = np.zeros((plan.m, plan.n), dtype=np.int64)
-        profile = self._execute_shard(
-            compute, whole, a, b, op, plan, None, c, False, strategy, res
-        )
-        elapsed = time.perf_counter() - start
-        report = ParallelReport(
-            workers=1,
-            strategy=strategy,
-            used_parallel=False,
-            seconds=elapsed,
-            backend=backend_name,
-            shard_profiles=[profile],
-            symmetric=symmetric,
-        )
-        return c, report
-
-    # -- sharded execution ---------------------------------------------------------
-
-    def _resolve_shard_compute(
-        self, strategy: str, backend_name: str
-    ) -> tuple[ShardCompute, str]:
-        """Pick the shard kernel for a (strategy, backend) pair.
-
-        Shared by the threaded path and by worker processes (each
-        worker resolves its *own* backend -- see
-        :mod:`repro.parallel.procpool`), so every executor runs the
-        identical compute for identical inputs.  Returns the kernel and
-        the effective strategy label (non-reference backends report
-        ``"panel"``).
-        """
-        if backend_name != DEFAULT_BACKEND_NAME:
-            return _make_backend_compute(get_backend(backend_name)), "panel"
-        if strategy == "gemm":
-            return self._compute_shard_gemm, strategy
-        return self._compute_shard_blocked, strategy
-
-    def _run_sharded(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        strategy: str,
-        symmetric: bool = False,
-        backend_name: str = DEFAULT_BACKEND_NAME,
-        executor: str = "thread",
-    ) -> tuple[np.ndarray, ParallelReport]:
-        shard_plan = ShardPlan.from_blocking(
-            plan, self.workers, oversubscribe=self.oversubscribe,
-            symmetric=symmetric,
-        )
+        """Plan the shards, then run each as one backend panel."""
         # One logical GEMM however many shards execute it; per-shard
         # word-ops sum to plan.total_ops() because shards partition C
         # (Gram plans: to the computed triangle's share of it).
         get_tracer().counters.add(GEMM_CALLS)
-        compute, strategy = self._resolve_shard_compute(strategy, backend_name)
-        # Cross-side panel dedup is valid whenever both operands hold
-        # the same matrix -- even for asymmetric ops (full plans).
-        # symmetric=True implies equal content (validated upstream).
-        dedup = symmetric or same_operand(a, b)
-        res = get_resilience()
-
-        if executor == "process" and shard_plan.n_shards > 1:
-            start = time.perf_counter()
-            result = self._get_procpool().execute(
-                a, b, op, plan, shard_plan, strategy, backend_name, dedup,
-                res, self.cache_bytes,
-            )
-            elapsed = time.perf_counter() - start
-            report = ParallelReport(
-                workers=self.workers,
-                strategy=strategy,
-                used_parallel=True,
-                seconds=elapsed,
-                backend=backend_name,
-                shard_plan=shard_plan,
-                shard_profiles=result.profiles,
+        shard_plan: ShardPlan | None = None
+        if use_parallel:
+            if symmetric:
+                plan = _gram_blocking(plan)
+            shard_plan = ShardPlan.from_blocking(
+                plan, self.workers, oversubscribe=self.oversubscribe,
                 symmetric=symmetric,
-                executor="process",
-                worker_events=result.worker_events,
-                workers_lost=result.workers_lost,
             )
-            return result.c, report
-
-        cache = PanelCache(self.cache_bytes)
-        c = np.zeros((plan.m, plan.n), dtype=np.int64)
-        start = time.perf_counter()
-        if shard_plan.n_shards <= 1:
-            profiles = [
-                self._execute_shard(
-                    compute, shard, a, b, op, plan, cache, c, dedup,
-                    strategy, res,
-                )
-                for shard in shard_plan.shards
-            ]
+            shards = list(shard_plan.shards)
         else:
-            pool = self._get_pool()
-            futures = [
-                pool.submit(
-                    self._execute_shard,
-                    compute, shard, a, b, op, plan, cache, c, dedup,
-                    strategy, res,
-                )
-                for shard in shard_plan.shards
-            ]
-            profiles = [f.result() for f in futures]
-        elapsed = time.perf_counter() - start
-
-        profiles.sort(key=lambda p: p.shard_id)
+            shards = [Shard(0, 0, 0, (0, plan.m), (0, plan.n))]
         report = ParallelReport(
-            workers=self.workers,
-            strategy=strategy,
-            used_parallel=True,
-            seconds=elapsed,
+            workers=self.workers if use_parallel else 1,
+            used_parallel=use_parallel,
+            seconds=0.0,
             backend=backend_name,
             shard_plan=shard_plan,
-            shard_profiles=profiles,
-            cache_stats=cache.stats(),
             symmetric=symmetric,
-            # A single-shard "process" request degrades to in-thread
-            # execution above; report the tier that actually ran.
-            executor="thread" if executor == "process" else executor,
         )
+        start = time.perf_counter()
+        if executor == "process" and len(shards) > 1:
+            assert shard_plan is not None
+            result = self._get_procpool().execute(
+                a, b, op, plan, shard_plan, backend_name, res,
+            )
+            c = result.c
+            report.executor = "process"
+            report.shard_profiles = result.profiles
+            report.worker_events = result.worker_events
+            report.workers_lost = result.workers_lost
+        else:
+            # Serial runs and single-shard "process" requests run here
+            # and report the thread tier.
+            backend = get_backend(backend_name)
+            c = np.zeros((plan.m, plan.n), dtype=np.int64)
+            if len(shards) <= 1 or self.workers == 1:
+                profiles = [
+                    execute_shard(backend, shard, a, b, op, plan.k, c, res)
+                    for shard in shards
+                ]
+            else:
+                pool = self._get_pool()
+                futures = [
+                    pool.submit(
+                        execute_shard, backend, shard, a, b, op, plan.k, c, res
+                    )
+                    for shard in shards
+                ]
+                profiles = [f.result() for f in futures]
+            report.shard_profiles = profiles
+        report.seconds = time.perf_counter() - start
         return c, report
 
-    # -- resilient shard execution -----------------------------------------------
 
-    def _reference_block(
-        self, shard: Shard, a: np.ndarray, b: np.ndarray, op: ComparisonOp
-    ) -> np.ndarray:
-        """Serial popcount oracle for one shard's output block.
+# -- resilient shard execution -------------------------------------------------
 
-        Used for quarantine recompute and spot verification; bit-exact
-        with both shard strategies by the engine's correctness
-        contract.
-        """
-        m0, m1 = shard.m_range
-        n0, n1 = shard.n_range
-        return bit_gemm_reference(a[m0:m1], b[n0:n1], op)
 
-    def _execute_shard(
-        self,
-        compute: ShardCompute,
-        shard: Shard,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        cache: PanelCache | None,
-        c: np.ndarray,
-        dedup: bool,
-        strategy: str,
-        res: ResilienceContext,
-    ) -> ShardProfile:
-        """Run one shard under the active resilience context.
+def _reference_block(
+    shard: Shard, a: np.ndarray, b: np.ndarray, op: ComparisonOp
+) -> np.ndarray:
+    """Serial popcount oracle for one shard's output block.
 
-        The degradation ladder (docs/RESILIENCE.md): retryable faults
-        are re-attempted under the policy's backoff budget; an
-        exhausted budget quarantines the shard onto the serial
-        reference recompute (bit-exact) or, with quarantine disabled,
-        raises :class:`~repro.errors.ShardExecutionError`.  FATAL and
-        DEGRADE errors propagate unchanged.  After a successful
-        compute, sampled shards are spot-verified against the
-        reference; a mismatch (e.g. an injected bit flip) adopts the
-        reference block, so corrupt tiles never reach the caller.
-        """
-        obs = get_tracer()
-        injector = res.injector
-        start = time.perf_counter()
-        attempt = 0
-        retries = 0
-        quarantined = False
-        while True:
-            try:
-                injector.check_shard(shard.shard_id, attempt)
-                block, hits, misses = compute(
-                    shard, a, b, op, plan, cache, dedup
-                )
-                block = injector.corrupt_block(block, shard.shard_id)
+    Used for quarantine recompute and spot verification; every backend
+    panel is bit-exact with it by the kernel ABI's contract.
+    """
+    m0, m1 = shard.m_range
+    n0, n1 = shard.n_range
+    return bit_gemm_reference(a[m0:m1], b[n0:n1], op)
+
+
+def _compute_block(
+    backend: KernelBackend,
+    shard: Shard,
+    a: np.ndarray,
+    b: np.ndarray,
+    op: ComparisonOp,
+    k: int,
+) -> np.ndarray:
+    """One shard as one backend panel call, with exact accounting."""
+    obs = get_tracer()
+    obs.counters.add(SHARDS_EXECUTED)
+    obs.counters.add(GEMM_WORD_OPS, shard.word_ops(k))
+    m0, m1 = shard.m_range
+    n0, n1 = shard.n_range
+    with obs.span("parallel.shard", shard=shard.shard_id):
+        return backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)
+
+
+def execute_shard(
+    backend: KernelBackend,
+    shard: Shard,
+    a: np.ndarray,
+    b: np.ndarray,
+    op: ComparisonOp,
+    k: int,
+    c: np.ndarray,
+    res: ResilienceContext,
+) -> ShardProfile:
+    """Run one shard under the active resilience context.
+
+    The degradation ladder (docs/RESILIENCE.md): retryable faults are
+    re-attempted under the policy's backoff budget; an exhausted budget
+    quarantines the shard onto the serial reference recompute
+    (bit-exact) or, with quarantine disabled, raises
+    :class:`~repro.errors.ShardExecutionError`.  FATAL and DEGRADE
+    errors propagate unchanged.  After a successful compute, sampled
+    shards are spot-verified against the reference; a mismatch (e.g. an
+    injected bit flip) adopts the reference block, so corrupt tiles
+    never reach the caller.  Inline, thread-pool and process-pool runs
+    all execute shards here.
+    """
+    obs = get_tracer()
+    injector = res.injector
+    start = time.perf_counter()
+    attempt = 0
+    retries = 0
+    quarantined = False
+    while True:
+        try:
+            injector.check_shard(shard.shard_id, attempt)
+            block = _compute_block(backend, shard, a, b, op, k)
+            block = injector.corrupt_block(block, shard.shard_id)
+            break
+        except ReproError as exc:
+            if classify(exc) is not Disposition.RETRY:
+                raise
+            if attempt + 1 < res.policy.max_attempts:
+                retries += 1
+                obs.counters.add(SHARD_RETRIES)
+                res.policy.wait(retries - 1)
+                attempt += 1
+                continue
+            if res.policy.quarantine:
+                obs.counters.add(SHARDS_QUARANTINED)
+                quarantined = True
+                with obs.span("resilience.quarantine", shard=shard.shard_id):
+                    block = _reference_block(shard, a, b, op)
                 break
-            except ReproError as exc:
-                if classify(exc) is not Disposition.RETRY:
-                    raise
-                if attempt + 1 < res.policy.max_attempts:
-                    retries += 1
-                    obs.counters.add(SHARD_RETRIES)
-                    res.policy.wait(retries - 1)
-                    attempt += 1
-                    continue
-                if res.policy.quarantine:
-                    obs.counters.add(SHARDS_QUARANTINED)
-                    quarantined = True
-                    with obs.span(
-                        "resilience.quarantine", shard=shard.shard_id
-                    ):
-                        block = self._reference_block(shard, a, b, op)
-                    hits = misses = 0
-                    break
-                raise ShardExecutionError(
-                    f"shard {shard.shard_id} failed after {attempt + 1} "
-                    f"attempt(s): {exc}",
-                    shard_id=shard.shard_id,
-                ) from exc
-        verified = False
-        mismatched = False
-        if not quarantined and res.should_verify(shard.shard_id):
-            verified = True
-            obs.counters.add(TILES_VERIFIED)
-            with obs.span("resilience.verify", shard=shard.shard_id):
-                reference = self._reference_block(shard, a, b, op)
-            if not np.array_equal(block, reference):
-                mismatched = True
-                obs.counters.add(VERIFY_MISMATCHES)
-                block = reference
-        m0, m1 = shard.m_range
-        n0, n1 = shard.n_range
-        c[m0:m1, n0:n1] = block
-        if shard.mirror:
-            # Transpose slot is strictly below the computed band grid:
-            # disjoint from every computed slot, race-free.
-            mm0, mm1 = shard.mirror_m_range
-            mn0, mn1 = shard.mirror_n_range
-            c[mm0:mm1, mn0:mn1] = block.T
-            obs.counters.add(SHARDS_MIRRORED)
-        return ShardProfile(
-            shard_id=shard.shard_id,
-            m_range=shard.m_range,
-            n_range=shard.n_range,
-            word_ops=shard.word_ops(plan.k),
-            seconds=time.perf_counter() - start,
-            strategy=strategy,
-            cache_hits=hits,
-            cache_misses=misses,
-            mirrored=shard.mirror,
-            retries=retries,
-            quarantined=quarantined,
-            verified=verified,
-            mismatched=mismatched,
-        )
-
-    # -- shard kernels ---------------------------------------------------------
-
-    def _compute_shard_gemm(
-        self,
-        shard: Shard,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        cache: PanelCache,
-        dedup: bool = False,
-    ) -> tuple[np.ndarray, int, int]:
-        """Identity-based shard kernel: one BLAS GEMM per k_c panel.
-
-        With ``dedup=True`` (self-comparison) the A-side and B-side
-        panels of the same row range share one cache key, so whichever
-        side unpacks a range first serves the other side's requests.
-        Returns ``(block, cache_hits, cache_misses)``; the resilient
-        wrapper owns the C write and the profile.
-        """
-        obs = get_tracer()
-        obs.counters.add(SHARDS_EXECUTED)
-        obs.counters.add(GEMM_WORD_OPS, shard.word_ops(plan.k))
-        with obs.span("parallel.shard", shard=shard.shard_id, strategy="gemm"):
-            hits = misses = 0
-            m0, m1 = shard.m_range
-            n0, n1 = shard.n_range
-            word_bits = a.dtype.itemsize * 8
-            dots = np.zeros((shard.m_size, shard.n_size), dtype=np.int64)
-            for k0, k1 in plan.k_panels():
-                dtype = (
-                    np.float32
-                    if (k1 - k0) * word_bits < _FLOAT32_EXACT_BITS
-                    else np.float64
-                )
-
-                def build_a(k0=k0, k1=k1, dtype=dtype):
-                    return unpack_bits(a[m0:m1, k0:k1]).astype(dtype)
-
-                def build_b(k0=k0, k1=k1, dtype=dtype):
-                    return unpack_bits(b[n0:n1, k0:k1]).astype(dtype)
-
-                key_a = (
-                    ("bits", m0, m1, k0, k1, dtype)
-                    if dedup
-                    else ("Abits", m0, m1, k0, k1, dtype)
-                )
-                key_b = (
-                    ("bits", n0, n1, k0, k1, dtype)
-                    if dedup
-                    else ("Bbits", n0, n1, k0, k1, dtype)
-                )
-                bits_a, hit_a = cache.get_or_build_flag(key_a, build_a, side="A")
-                bits_b, hit_b = cache.get_or_build_flag(key_b, build_b, side="B")
-                hits += hit_a + hit_b
-                misses += (not hit_a) + (not hit_b)
-                dots += np.rint(bits_a @ bits_b.T).astype(np.int64)
-
-            if op in (ComparisonOp.AND, ComparisonOp.AND_PRENEGATED):
-                block = dots
-            else:
-                pop_a, hit = cache.get_or_build_flag(
-                    ("pop", m0, m1) if dedup else ("Apop", m0, m1),
-                    lambda: popcount(a[m0:m1]).sum(axis=1),
-                    side="A",
-                )
-                hits += hit
-                misses += not hit
-                if op is ComparisonOp.XOR:
-                    pop_b, hit = cache.get_or_build_flag(
-                        ("pop", n0, n1) if dedup else ("Bpop", n0, n1),
-                        lambda: popcount(b[n0:n1]).sum(axis=1),
-                        side="B",
-                    )
-                    hits += hit
-                    misses += not hit
-                    block = pop_a[:, None] + pop_b[None, :] - 2 * dots
-                elif op is ComparisonOp.ANDNOT:
-                    block = pop_a[:, None] - dots
-                else:  # pragma: no cover - ops are exhaustive above
-                    raise PackingError(
-                        f"_compute_shard_gemm: unhandled op {op!r}"
-                    )
-
-            return block, hits, misses
-
-    def _compute_shard_blocked(
-        self,
-        shard: Shard,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        cache: PanelCache,
-        dedup: bool = False,
-    ) -> tuple[np.ndarray, int, int]:
-        """BLIS-structured shard kernel: packed panels, batched tiles.
-
-        ``dedup`` is accepted for signature uniformity with
-        :meth:`_compute_shard_gemm`; the blocked strategy's A and B
-        pack layouts differ (``m_r`` row panels vs ``n_r`` column
-        panels), so its cache keys stay side-specific.  Returns
-        ``(block, cache_hits, cache_misses)``.
-        """
-        obs = get_tracer()
-        obs.counters.add(SHARDS_EXECUTED)
-        obs.counters.add(GEMM_WORD_OPS, shard.word_ops(plan.k))
-        with obs.span("parallel.shard", shard=shard.shard_id, strategy="blocked"):
-            hits = misses = 0
-            kernel = get_microkernel(op)
-            m0, m1 = shard.m_range
-            n0, n1 = shard.n_range
-            m_r, n_r, m_c = plan.m_r, plan.n_r, plan.m_c
-            block = np.zeros((shard.m_size, shard.n_size), dtype=np.int64)
-            for k0, k1 in plan.k_panels():
-
-                def build_b(k0=k0, k1=k1):
-                    return pack_b_panel(b[n0:n1, k0:k1].T, n_r)
-
-                b_packed, hit = cache.get_or_build_flag(
-                    ("B", n_r, n0, n1, k0, k1), build_b
-                )
-                hits += hit
-                misses += not hit
-                # Loop 3: m_c panels of A inside this shard's M range.
-                for pm0 in range(m0, m1, m_c):
-                    pm1 = min(pm0 + m_c, m1)
-
-                    def build_a(pm0=pm0, pm1=pm1, k0=k0, k1=k1):
-                        return pack_a_panel(a[pm0:pm1, k0:k1], m_r)
-
-                    a_packed, hit = cache.get_or_build_flag(
-                        ("A", m_r, pm0, pm1, k0, k1), build_a
-                    )
-                    hits += hit
-                    misses += not hit
-                    _batched_micro_update(
-                        block, a_packed, b_packed, kernel.combine,
-                        pm0 - m0, shard.m_size, shard.n_size, m_r, n_r,
-                    )
-            return block, hits, misses
-
-
-def _batched_micro_update(
-    block: np.ndarray,
-    a_packed: np.ndarray,
-    b_packed: np.ndarray,
-    combine,
-    row_offset: int,
-    m_size: int,
-    n_size: int,
-    m_r: int,
-    n_r: int,
-) -> None:
-    """Rank-k_c update of ``block`` from packed panels, micro-tiles batched.
-
-    Identical arithmetic to :func:`repro.blis.gemm._micro_update`, but
-    each NumPy dispatch covers a *group* of A micro-panels against all
-    B micro-panels of the shard, with the k dimension chunked to bound
-    the broadcast temporary.
-    """
-    n_a_panels, k_len, _ = a_packed.shape
-    n_b_panels = b_packed.shape[0]
-    padded_cols = n_b_panels * n_r
-    for g0 in range(0, n_a_panels, _BLOCKED_GROUP):
-        g1 = min(g0 + _BLOCKED_GROUP, n_a_panels)
-        group = a_packed[g0:g1]  # (g, k, m_r)
-        acc = None
-        for kc0 in range(0, k_len, _BLOCKED_K_CHUNK):
-            kc1 = min(kc0 + _BLOCKED_K_CHUNK, k_len)
-            # (g, pb, k_chunk, m_r, n_r) broadcast micro-kernel batch.
-            combined = combine(
-                group[:, None, kc0:kc1, :, None],
-                b_packed[None, :, kc0:kc1, None, :],
-            )
-            partial = popcount(combined).sum(axis=2)
-            acc = partial if acc is None else acc + partial
-        # (g, pb, m_r, n_r) -> (g * m_r, pb * n_r), crop padding.
-        tiles = acc.transpose(0, 2, 1, 3).reshape((g1 - g0) * m_r, padded_cols)
-        r0 = row_offset + g0 * m_r
-        r1 = min(row_offset + g1 * m_r, m_size)
-        block[r0:r1, :n_size] += tiles[: r1 - r0, :n_size]
-
-
-def _make_backend_compute(backend: KernelBackend) -> ShardCompute:
-    """Shard kernel delegating to a kernel-ABI backend panel.
-
-    Counter accounting is identical to the built-in shard kernels
-    (``SHARDS_EXECUTED`` + the shard's word-ops), so the deterministic
-    counters the regression gate compares are backend-invariant.  The
-    panel cache is unused: backends consume packed words directly.
-    """
-    name = backend.info.name
-
-    def compute(
-        shard: Shard,
-        a: np.ndarray,
-        b: np.ndarray,
-        op: ComparisonOp,
-        plan: BlockingPlan,
-        cache: PanelCache | None,
-        dedup: bool,
-    ) -> tuple[np.ndarray, int, int]:
-        obs = get_tracer()
-        obs.counters.add(SHARDS_EXECUTED)
-        obs.counters.add(GEMM_WORD_OPS, shard.word_ops(plan.k))
-        with obs.span(
-            "parallel.shard", shard=shard.shard_id, strategy=f"panel:{name}"
-        ):
-            m0, m1 = shard.m_range
-            n0, n1 = shard.n_range
-            block = backend.bit_gemm_panel(a[m0:m1], b[n0:n1], op)
-        return block, 0, 0
-
-    return compute
+            raise ShardExecutionError(
+                f"shard {shard.shard_id} failed after {attempt + 1} "
+                f"attempt(s): {exc}",
+                shard_id=shard.shard_id,
+            ) from exc
+    verified = False
+    mismatched = False
+    if not quarantined and res.should_verify(shard.shard_id):
+        verified = True
+        obs.counters.add(TILES_VERIFIED)
+        with obs.span("resilience.verify", shard=shard.shard_id):
+            reference = _reference_block(shard, a, b, op)
+        if not np.array_equal(block, reference):
+            mismatched = True
+            obs.counters.add(VERIFY_MISMATCHES)
+            block = reference
+    m0, m1 = shard.m_range
+    n0, n1 = shard.n_range
+    c[m0:m1, n0:n1] = block
+    if shard.mirror:
+        # Transpose slot is strictly below the computed band grid:
+        # disjoint from every computed slot, race-free.
+        mm0, mm1 = shard.mirror_m_range
+        mn0, mn1 = shard.mirror_n_range
+        c[mm0:mm1, mn0:mn1] = block.T
+        obs.counters.add(SHARDS_MIRRORED)
+    return ShardProfile(
+        shard_id=shard.shard_id,
+        m_range=shard.m_range,
+        n_range=shard.n_range,
+        word_ops=shard.word_ops(k),
+        seconds=time.perf_counter() - start,
+        mirrored=shard.mirror,
+        retries=retries,
+        quarantined=quarantined,
+        verified=verified,
+        mismatched=mismatched,
+    )
 
 
 # -- module-level conveniences ---------------------------------------------------
 
-_ENGINES: dict[tuple[int, str, str, str], ParallelEngine] = {}
+_ENGINES: dict[tuple[int, str, str], ParallelEngine] = {}
 _ENGINES_LOCK = threading.Lock()
 
 
 def get_engine(
     workers: int | None = None,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> ParallelEngine:
-    """Process-wide engine per (workers, strategy, backend, executor).
+    """Process-wide engine per (workers, backend, executor).
 
     Every caller asking for the same worker count shares one pool --
     this is how the multi-GPU executor runs all simulated devices on a
@@ -1193,13 +742,12 @@ def get_engine(
     """
     if workers is None:
         workers = os.cpu_count() or 1
-    key = (workers, strategy, backend, executor)
+    key = (workers, backend, executor)
     with _ENGINES_LOCK:
         engine = _ENGINES.get(key)
         if engine is None:
             engine = ParallelEngine(
-                workers=workers, strategy=strategy, backend=backend,
-                executor=executor,
+                workers=workers, backend=backend, executor=executor,
             )
             _ENGINES[key] = engine
         return engine
@@ -1213,12 +761,11 @@ def bit_gemm_parallel(
     plan: BlockingPlan | None = None,
     force_parallel: bool | None = None,
     symmetric: bool | None = None,
-    strategy: str = "auto",
     backend: str = "auto",
     executor: str = "auto",
 ) -> np.ndarray:
-    """One-shot parallel bit-GEMM (drop-in for the serial drivers)."""
-    c, _ = get_engine(workers, strategy, backend, executor).run(
+    """One-shot bit-GEMM through the shared engine for ``workers``."""
+    c, _ = get_engine(workers, backend, executor).run(
         a, b, op, plan=plan, force_parallel=force_parallel, symmetric=symmetric
     )
     return c

@@ -1,15 +1,24 @@
 """Process-level shard execution with shared-memory packed panels.
 
 The thread pool in :mod:`repro.parallel.engine` scales until the
-Python-side orchestration (shard dispatch, cache bookkeeping, NumPy
+Python-side orchestration (shard dispatch, NumPy
 dispatch overhead) serializes on the GIL -- with the compiled
 ``cnative``/``numba`` backends the kernels themselves are fast enough
 that this ceiling arrives at a handful of cores.
 :class:`ProcessShardExecutor` is the next tier: the same
 :class:`~repro.parallel.plan.ShardPlan` shards, executed by a pool of
 worker *processes*, each running the identical
-:meth:`~repro.parallel.engine.ParallelEngine._execute_shard`
-retry/quarantine/verify ladder the threaded and serial paths use.
+:func:`~repro.parallel.engine.execute_shard` retry/quarantine/verify
+ladder -- one registered backend panel per shard -- the inline and
+threaded paths use.
+
+**Backend identity.**  Each worker resolves the run's backend by name
+in its own registry and compares its implementation identity
+(:func:`~repro.kernels.backend_identity`: class, version,
+availability) with the parent's.  A mismatch -- the name unknown or
+unavailable in the worker, or bound to a different implementation --
+raises :class:`~repro.errors.ConfigurationError` in the parent: a
+requested backend is honoured or rejected, never silently replaced.
 
 **Operand transport is zero-copy where it can be.**  Packed operands
 are published once per run:
@@ -38,10 +47,13 @@ deterministic counters the regression gate compares are identical to a
 threaded run's.  When a worker process dies, the parent re-enqueues
 its claimed-but-unfinished shards onto the survivors (block writes are
 idempotent: a re-executed shard overwrites the same disjoint slots),
-counts :data:`~repro.observability.counters.WORKERS_LOST` (plus
-:data:`~repro.observability.counters.FAULTS_INJECTED` only when the
-death was scheduled by the fault plan), and surfaces a ``worker-lost``
-event in the run's
+and counts :data:`~repro.observability.counters.WORKERS_LOST`.  An
+injected ``worker-lost@N`` fault is decided by the parent, not by a
+worker: the run's dispatch ordinal ``N`` task is marked, and whichever
+worker dequeues it dies after flushing its claim -- so the schedule is
+deterministic however the workers race for tasks (the parent records
+the fired event when it marks the task).  A genuine crash surfaces as
+a ``worker-lost`` event carrying the worker id in the run's
 :class:`~repro.resilience.report.ResilienceReport`.  A genuine crash
 can additionally swallow a task the worker dequeued before its claim
 reached the parent; after a death, a stall of the result queue
@@ -83,18 +95,9 @@ from repro.blis.gemm import same_operand
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.io_stream.format import map_packed_words, packed_words_ref
-from repro.kernels import (
-    DEFAULT_BACKEND_NAME,
-    backend_available,
-    backend_fingerprint,
-)
-from repro.observability.counters import (
-    FAULTS_INJECTED,
-    WORKERS_LOST,
-    CounterRegistry,
-)
+from repro.kernels import backend_identity, get_backend
+from repro.observability.counters import WORKERS_LOST, CounterRegistry
 from repro.observability.tracer import get_tracer
-from repro.parallel.cache import PanelCache
 from repro.parallel.plan import Shard, ShardPlan
 from repro.resilience.faults import (
     NULL_INJECTOR,
@@ -132,8 +135,8 @@ _DEFAULT_START_METHOD = "spawn"
 _POLL_SECONDS = 0.05
 
 #: Exit code a worker uses when an injected ``worker-lost`` fault kills
-#: it (the parent and tests distinguish the injected death -- which
-#: flushes its claim before exiting -- from a genuine crash).
+#: it (the parent distinguishes the injected death -- already recorded
+#: as a fired fault when the task was marked -- from a genuine crash).
 _KILLED_EXIT_CODE = 86
 
 #: Seconds of result-queue silence after a worker death before the
@@ -220,15 +223,19 @@ class _RunState:
 
     def __init__(self, spec: dict[str, Any]) -> None:
         from repro.observability.tracer import Tracer, set_tracer
-        from repro.parallel.engine import ParallelEngine
 
-        # A fresh per-run tracer, installed before anything that
-        # captures the active counter registry (the PanelCache binds it
-        # at construction): counters feed the per-shard deltas shipped
-        # back to the parent, and re-installing per run bounds span
-        # accumulation over a long-lived pool.
+        # A fresh per-run tracer: counters feed the per-shard deltas
+        # shipped back to the parent, and re-installing per run bounds
+        # span accumulation over a long-lived pool.
         self.tracer = Tracer()
         set_tracer(self.tracer)
+        self.backend = get_backend(spec["backend"])
+        if backend_identity(self.backend) != spec["backend_identity"]:
+            raise ConfigurationError(
+                f"process worker: backend {spec['backend']!r} is "
+                f"{backend_identity(self.backend)} here but "
+                f"{spec['backend_identity']} in the parent"
+            )
         self._shm: list[shared_memory.SharedMemory] = []
         self.a = self._attach_operand(spec["a"])
         b_ref = spec["b"]
@@ -239,27 +246,7 @@ class _RunState:
             tuple(spec["c_shape"]), dtype=np.int64, buffer=c_shm.buf
         )
         self.op: ComparisonOp = get_microkernel(spec["op"]).op
-        self.plan: BlockingPlan = spec["plan"]
-        self.dedup: bool = spec["dedup"]
-        backend: str = spec["backend"]
-        strategy: str = spec["strategy"]
-        if backend != DEFAULT_BACKEND_NAME and (
-            spec["fingerprint"] != backend_fingerprint()
-            or not backend_available(backend)
-        ):
-            # Per-process backend resolution: this worker's view of the
-            # tunable backend set differs from the parent's (partial
-            # install, version skew).  Degrade to the reference backend
-            # -- bit-exact by the ABI contract, and the word-op
-            # counters are backend-invariant so accounting holds.
-            backend, strategy = DEFAULT_BACKEND_NAME, "gemm"
-        self.engine = ParallelEngine(
-            workers=1, cache_bytes=spec["cache_bytes"], executor="thread"
-        )
-        self.compute, self.strategy = self.engine._resolve_shard_compute(
-            strategy, backend
-        )
-        self.cache = PanelCache(spec["cache_bytes"])
+        self.k: int = spec["k"]
         fault_spec = spec["fault_spec"]
         injector: FaultInjector | Any = NULL_INJECTOR
         if fault_spec:
@@ -274,6 +261,7 @@ class _RunState:
             verify_sample=spec["verify_sample"],
             verify_seed=spec["verify_seed"],
         )
+
     def _attach_operand(self, ref: OperandRef) -> np.ndarray:
         if ref.kind == "mmap":
             return map_packed_words(ref.name, ref.offset, ref.shape, ref.dtype)
@@ -282,10 +270,12 @@ class _RunState:
         return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf)
 
     def execute(self, shard: Shard) -> "ShardProfile":
+        from repro.parallel.engine import execute_shard
+
         assert self.c is not None
-        return self.engine._execute_shard(
-            self.compute, shard, self.a, self.b, self.op, self.plan,
-            self.cache, self.c, self.dedup, self.strategy, self.res,
+        return execute_shard(
+            self.backend, shard, self.a, self.b, self.op, self.k, self.c,
+            self.res,
         )
 
     def close(self) -> None:
@@ -308,11 +298,18 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
         msg = task_q.get()
         if msg[0] == "stop":
             break
-        _, run_id, shard, spec = msg
+        _, run_id, shard, spec, doomed = msg
         # The claim must be durable before any work (or injected
         # death): the parent re-enqueues claimed-but-unfinished shards
         # of a dead worker, so an unflushed claim would strand a shard.
         result_q.put(("claim", worker_id, run_id, shard.shard_id))
+        if doomed:
+            # Injected worker loss (the parent marked this task): flush
+            # the queue feeder so the claim reaches the parent, then
+            # die like a crash.
+            result_q.close()
+            result_q.join_thread()
+            os._exit(_KILLED_EXIT_CODE)
         try:
             state = states.get(run_id)
             if state is None:
@@ -321,12 +318,6 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
                 order.append(run_id)
                 while len(order) > _WORKER_STATE_CACHE:
                     states.pop(order.pop(0)).close()
-            if state.injector.check_worker(worker_id):
-                # Injected worker loss: flush the queue feeder so the
-                # claim reaches the parent, then die like a crash.
-                result_q.close()
-                result_q.join_thread()
-                os._exit(_KILLED_EXIT_CODE)
             before = state.tracer.counters.snapshot()
             events_before = state.injector.n_fired()
             profile = state.execute(shard)
@@ -471,11 +462,8 @@ class ProcessShardExecutor:
         op: ComparisonOp,
         plan: BlockingPlan,
         shard_plan: ShardPlan,
-        strategy: str,
         backend_name: str,
-        dedup: bool,
         res: ResilienceContext,
-        cache_bytes: int,
     ) -> ProcessRunResult:
         """Run every shard of ``shard_plan`` across the worker pool.
 
@@ -493,8 +481,8 @@ class ProcessShardExecutor:
             handles: list[shared_memory.SharedMemory] = []
             try:
                 return self._execute_locked(
-                    run_id, handles, a, b, op, plan, shard_plan, strategy,
-                    backend_name, dedup, res, cache_bytes,
+                    run_id, handles, a, b, op, plan, shard_plan,
+                    backend_name, res,
                 )
             finally:
                 for shm in handles:
@@ -511,11 +499,8 @@ class ProcessShardExecutor:
         b: np.ndarray,
         op: ComparisonOp,
         plan: BlockingPlan,
-        strategy: str,
         backend_name: str,
-        dedup: bool,
         res: ResilienceContext,
-        cache_bytes: int,
         handles: list[shared_memory.SharedMemory],
     ) -> tuple[dict[str, Any], np.ndarray]:
         ref_a = self._publish_operand(a, handles)
@@ -547,12 +532,9 @@ class ProcessShardExecutor:
             "c_name": c_shm.name,
             "c_shape": (plan.m, plan.n),
             "op": op.value,
-            "plan": plan,
-            "strategy": strategy,
+            "k": plan.k,
             "backend": backend_name,
-            "fingerprint": backend_fingerprint(),
-            "cache_bytes": cache_bytes,
-            "dedup": dedup,
+            "backend_identity": backend_identity(get_backend(backend_name)),
             "fault_spec": fault_spec,
             "slow_delay_s": slow_delay_s,
             "policy": {
@@ -578,19 +560,19 @@ class ProcessShardExecutor:
         op: ComparisonOp,
         plan: BlockingPlan,
         shard_plan: ShardPlan,
-        strategy: str,
         backend_name: str,
-        dedup: bool,
         res: ResilienceContext,
-        cache_bytes: int,
     ) -> ProcessRunResult:
         spec, c_view = self._build_spec(
-            run_id, a, b, op, plan, strategy, backend_name, dedup, res,
-            cache_bytes, handles,
+            run_id, a, b, op, plan, backend_name, res, handles,
         )
         shards = {shard.shard_id: shard for shard in shard_plan.shards}
+        # Injected worker loss is decided here, per dispatch ordinal:
+        # the queue is FIFO, so a marked task is always dequeued during
+        # this run, and whichever worker dequeues it dies.
         for shard in shard_plan.shards:
-            self._task_q.put(("shard", run_id, shard, spec))
+            doomed = res.injector.mark_worker_loss()
+            self._task_q.put(("shard", run_id, shard, spec, doomed))
 
         obs = get_tracer()
         profiles: dict[int, "ShardProfile"] = {}
@@ -612,24 +594,22 @@ class ProcessShardExecutor:
                     continue
                 dead.add(worker_id)
                 lost += 1
-                events.append(
-                    FiredFault(
-                        kind="worker-lost", target=worker_id, attempt=0,
-                        site="procpool",
+                if proc.exitcode != _KILLED_EXIT_CODE:
+                    # A genuine crash: a loss, not an injection.  An
+                    # injected death's event was recorded when its task
+                    # was marked.
+                    events.append(
+                        FiredFault(
+                            kind="worker-lost", target=worker_id,
+                            attempt=0, site="procpool",
+                        )
                     )
-                )
                 obs.counters.add(WORKERS_LOST)
-                if proc.exitcode == _KILLED_EXIT_CODE:
-                    # Only a scheduled (injected) death counts as an
-                    # injected fault; a genuine crash is a loss, not an
-                    # injection, and must not skew the deterministic
-                    # fired/injected accounting CI compares.
-                    obs.counters.add(FAULTS_INJECTED)
             for shard_id, worker_id in list(claims.items()):
                 if shard_id in profiles or worker_id not in dead:
                     continue
                 del claims[shard_id]
-                self._task_q.put(("shard", run_id, shards[shard_id], spec))
+                self._task_q.put(("shard", run_id, shards[shard_id], spec, False))
             if len(dead) >= len(self._procs):
                 raise ShardExecutionError(
                     f"process executor: all {len(self._procs)} worker "
@@ -660,7 +640,7 @@ class ProcessShardExecutor:
                     for shard_id, shard in shards.items():
                         if shard_id in profiles or shard_id in claims:
                             continue
-                        self._task_q.put(("shard", run_id, shard, spec))
+                        self._task_q.put(("shard", run_id, shard, spec, False))
                 continue
             kind = msg[0]
             if msg[2] != run_id:
@@ -673,7 +653,7 @@ class ProcessShardExecutor:
                 if worker_id in dead:
                     # The claim outlived its worker; fail over now.
                     del claims[shard_id]
-                    self._task_q.put(("shard", run_id, shards[shard_id], spec))
+                    self._task_q.put(("shard", run_id, shards[shard_id], spec, False))
             elif kind == "done":
                 _, worker_id, _, shard_id, profile, delta, shard_events = msg
                 if shard_id in profiles:

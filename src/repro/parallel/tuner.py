@@ -1,28 +1,25 @@
-"""Persisted host autotuner: measured strategy choice for ``"auto"``.
+"""Persisted host autotuner: the measured backend choice for ``"auto"``.
 
 The model-driven sweep in :mod:`repro.core.autotune` prices *device*
-configurations analytically.  Host-side strategy choice -- identity
-GEMM vs the blocked walk, full vs triangular Gram plans, and where the
-serial/parallel crossover sits -- depends on things no closed form
-captures (BLAS build, core count, NumPy version), so this module
-closes that loop empirically: :func:`tune_problem` benchmarks the
-candidate grid ``{gemm, blocked} x {full, triangular}`` -- plus every
-available tunable kernel-ABI backend (:mod:`repro.kernels`), raced the
-same way -- on synthetic operands of the requested shape, times a
-serial baseline for the crossover decision, and persists the winner to
-a small JSON cache.  A backend winner is recorded with strategy
-``"panel"`` and its backend name, which ``backend="auto"`` then
-applies per-machine.
+configurations analytically.  Host-side choices -- which kernel-ABI
+backend (:mod:`repro.kernels`) computes the shard panels, full vs
+triangular Gram plans, and where the serial/parallel crossover sits --
+depend on things no closed form captures (BLAS build, compiler, core
+count, NumPy version), so this module closes that loop empirically:
+:func:`tune_problem` races every available tunable backend, in full
+and (for Gram-eligible problems) triangular plan form, on synthetic
+operands of the requested shape, times a serial baseline for the
+crossover decision, and persists the winner to a small JSON cache.
+``backend="auto"`` then applies the winner per machine, ahead of the
+built-in size rule.
 
 The tuner also races the engine's *executor* axis: on problems large
-enough for the process tier to plausibly pay off, the whole candidate
-grid is re-timed on the process executor
-(:mod:`repro.parallel.procpool`) and the per-executor winners are
-stored as separate records, distinguished by an ``|ex<executor>`` key
-suffix (thread records keep the legacy unsuffixed key, so records
-persisted before the executor axis existed keep matching -- and keep
-meaning "thread").  ``executor="auto"`` then compares the two records'
-``best_seconds`` per size class.
+enough for the process tier to plausibly pay off, the candidate grid
+is re-timed on the process executor (:mod:`repro.parallel.procpool`)
+and the per-executor winners are stored as separate records,
+distinguished by an ``|ex<executor>`` key suffix (thread records keep
+the unsuffixed key).  ``executor="auto"`` then compares the two
+records' ``best_seconds`` per size class.
 
 The cache is keyed by ``(op, shape bucket, workers, word_bits, numpy
 version, backend fingerprint)`` -- shapes are bucketed to the next
@@ -31,22 +28,26 @@ version is in the key because the winner may flip across BLAS builds,
 and the backend fingerprint (names + versions of the tunable backend
 set, :func:`repro.kernels.backend_fingerprint`) is in the key so
 installing, removing, or upgrading a backend invalidates records
-measured against the old set instead of pinning a stale winner.  The engine's
-``strategy="auto"`` consults the cache through :func:`lookup_tuned`
-(a lazy singleton + dict lookup, cheap enough for every run); a
-missing, corrupt, or foreign-format cache degrades to "no record"
-rather than erroring, so a stale file can never break execution.
+measured against the old set instead of pinning a stale winner.  The
+engine consults the cache through :func:`lookup_tuned` (a lazy
+singleton + dict lookup, cheap enough for every run); a missing,
+corrupt, or foreign-format cache degrades to "no record" rather than
+erroring, so a stale file can never break execution.
 
-File format (``repro-host-tuning/1``)::
+File format (``repro-host-tuning/2``)::
 
     {
-      "format": "repro-host-tuning/1",
+      "format": "repro-host-tuning/2",
       "records": {
-        "<key>": {"strategy": "gemm", "triangular": true,
+        "<key>": {"backend": "blas", "triangular": true,
                    "crossover_ops": null, "best_seconds": 0.012,
-                   "candidates": 4, "backend": "numpy"}
+                   "candidates": 4, "executor": "thread"}
       }
     }
+
+Format ``/1`` records (which also carried a shard ``strategy``) are a
+foreign format: a ``/1`` file reads as an empty cache and is replaced
+on the next save.
 
 The cache path resolves, in order: explicit argument, the
 ``REPRO_TUNING_CACHE`` environment variable, then
@@ -68,11 +69,7 @@ import numpy as np
 
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import ConfigurationError
-from repro.kernels import (
-    DEFAULT_BACKEND_NAME,
-    backend_fingerprint,
-    registered_backends,
-)
+from repro.kernels import backend_fingerprint, registered_backends
 from repro.util.cachedir import repro_cache_dir
 
 __all__ = [
@@ -91,7 +88,7 @@ __all__ = [
 ]
 
 #: On-disk format tag; unknown tags are treated as "no cache".
-TUNING_FORMAT = "repro-host-tuning/1"
+TUNING_FORMAT = "repro-host-tuning/2"
 
 #: Environment variable overriding the cache file location.
 TUNING_CACHE_ENV = "REPRO_TUNING_CACHE"
@@ -109,13 +106,6 @@ def default_tuning_path() -> Path:
     if override:
         return Path(override).expanduser()
     return repro_cache_dir() / "host-tuning.json"
-
-#: Reference-backend strategies tune_problem races against each other.
-_STRATEGIES = ("gemm", "blocked")
-
-#: Strategies a persisted record may carry: the reference pair plus
-#: ``"panel"``, which marks a non-reference kernel-backend winner.
-_RECORD_STRATEGIES = ("gemm", "blocked", "panel")
 
 #: Executors a record (and a tuning key) may name.
 _RECORD_EXECUTORS = ("thread", "process")
@@ -168,27 +158,25 @@ def tuning_key(
 class TuningRecord:
     """One persisted tuning decision.
 
+    ``backend`` is the measured winning kernel backend.
     ``crossover_ops`` overrides the engine's serial/parallel crossover
     for this size class when not ``None`` (recorded when the serial
     baseline beat every parallel candidate).  ``triangular`` is the
     measured preference for Gram plans; the engine only honours it
     when the run is actually a symmetric self-comparison.
-    ``executor`` names the shard executor the record was measured on;
-    records persisted before the executor axis existed lack the field
-    and degrade to ``"thread"`` (which is what they measured).
+    ``executor`` names the shard executor the record was measured on
+    (``"thread"`` when the field is absent).
     """
 
-    strategy: str
+    backend: str
     triangular: bool
     crossover_ops: int | None
     best_seconds: float
     candidates: int
-    backend: str = DEFAULT_BACKEND_NAME
     executor: str = "thread"
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "strategy": self.strategy,
             "triangular": self.triangular,
             "crossover_ops": self.crossover_ops,
             "best_seconds": self.best_seconds,
@@ -202,10 +190,7 @@ class TuningRecord:
         """Parse one record; raises ``ValueError`` on any shape problem."""
         if not isinstance(data, Mapping):
             raise ValueError(f"tuning record must be an object, got {type(data)}")
-        strategy = data.get("strategy")
-        if strategy not in _RECORD_STRATEGIES:
-            raise ValueError(f"tuning record has unknown strategy {strategy!r}")
-        backend = data.get("backend", DEFAULT_BACKEND_NAME)
+        backend = data.get("backend")
         if not isinstance(backend, str) or not backend:
             raise ValueError("tuning record: backend must be a non-empty string")
         triangular = data.get("triangular")
@@ -228,12 +213,11 @@ class TuningRecord:
                 f"tuning record has unknown executor {executor!r}"
             )
         return cls(
-            strategy=strategy,
+            backend=backend,
             triangular=triangular,
             crossover_ops=crossover,
             best_seconds=float(best_seconds),
             candidates=candidates,
-            backend=backend,
             executor=executor,
         )
 
@@ -404,11 +388,7 @@ def lookup_tuned(
     workers: int,
     executor: str = "thread",
 ) -> TuningRecord | None:
-    """Cheap cache consultation used by ``strategy="auto"``.
-
-    Thread lookups hit the legacy unsuffixed key, so records persisted
-    before the executor axis existed still apply (as thread records).
-    """
+    """Cheap cache consultation used by ``backend``/``executor="auto"``."""
     cache = get_tuning_cache()
     return cache.lookup(
         tuning_key(op, m, n, k_words, word_bits, workers, executor=executor)
@@ -432,15 +412,13 @@ def tune_problem(
 ) -> TuningRecord:
     """Benchmark the candidate grid for one shape and persist the winner.
 
-    Races ``{gemm, blocked}`` reference strategies and every available
-    tunable kernel backend -- each in full-plan form and, when the
-    problem is a square self-comparison with a symmetric op, also in
-    triangular Gram form -- on synthetic random operands, plus a
-    serial baseline.  The fastest parallel candidate becomes the
-    record (backend winners carry strategy ``"panel"`` and their
-    backend name); if the serial baseline beat it, ``crossover_ops``
-    is raised above this size class so ``"auto"`` keeps such problems
-    serial.
+    Races every available tunable kernel backend -- each in full-plan
+    form and, when the problem is a square self-comparison with a
+    symmetric op, also in triangular Gram form -- on synthetic random
+    operands, plus a serial baseline.  The fastest parallel candidate
+    becomes the record; if the serial baseline beat it,
+    ``crossover_ops`` is raised above this size class so ``"auto"``
+    keeps such problems serial.
 
     ``executors`` selects which shard executors race (default:
     ``("thread",)``, widened to ``("thread", "process")`` when the
@@ -481,77 +459,44 @@ def tune_problem(
                 f"tune_problem: unknown executor {ex!r} "
                 f"(valid: {', '.join(_RECORD_EXECUTORS)})"
             )
+    backends = [
+        be.info.name
+        for be in registered_backends()
+        if be.info.tunable and be.info.available
+    ]
+    plans = (False, True) if gram_eligible else (False,)
 
-    def best_of(
-        strategy: str,
-        triangular: bool,
-        backend: str = DEFAULT_BACKEND_NAME,
-        executor: str = "thread",
-    ) -> float:
-        engine = get_engine(workers, strategy, backend, executor)
+    def best_of(engine_workers: int, backend: str, executor: str,
+                triangular: bool, force_parallel: bool) -> float:
+        engine = get_engine(engine_workers, backend, executor)
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            engine.run(a, b, op, force_parallel=True, symmetric=triangular)
+            engine.run(
+                a, b, op, force_parallel=force_parallel, symmetric=triangular
+            )
             best = min(best, time.perf_counter() - start)
         return best
 
-    def race_executor(executor: str) -> TuningRecord:
-        # The candidate grid: reference strategies, then every
-        # available tunable kernel backend raced the same way (full
-        # and, where eligible, triangular Gram plans).
-        candidates: list[tuple[str, str, bool, float]] = []
-        for strategy in _STRATEGIES:
-            candidates.append(
-                (DEFAULT_BACKEND_NAME, strategy, False,
-                 best_of(strategy, False, executor=executor))
-            )
-            if gram_eligible:
-                candidates.append(
-                    (DEFAULT_BACKEND_NAME, strategy, True,
-                     best_of(strategy, True, executor=executor))
-                )
-        for be in registered_backends():
-            info = be.info
-            if not info.tunable or not info.available:
-                continue
-            if info.name == DEFAULT_BACKEND_NAME:
-                continue
-            candidates.append(
-                (info.name, "panel", False,
-                 best_of("gemm", False, info.name, executor=executor))
-            )
-            if gram_eligible:
-                candidates.append(
-                    (info.name, "panel", True,
-                     best_of("gemm", True, info.name, executor=executor))
-                )
-        backend, strategy, triangular, best_seconds = min(
-            candidates, key=lambda c: c[3]
-        )
-        crossover_ops = 2 * total_ops if serial_best < best_seconds else None
-        return TuningRecord(
-            strategy=strategy,
-            triangular=triangular,
-            crossover_ops=crossover_ops,
-            best_seconds=best_seconds,
-            candidates=len(candidates),
-            backend=backend,
-            executor=executor,
-        )
-
-    serial_engine = get_engine(1, "gemm")
-    serial_best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        serial_engine.run(a, b, op, force_parallel=False)
-        serial_best = min(serial_best, time.perf_counter() - start)
-
+    serial_best = best_of(1, "auto", "thread", False, False)
     if cache is None:
         cache = get_tuning_cache()
     best_record: TuningRecord | None = None
     for ex in executors:
-        record = race_executor(ex)
+        candidates = [
+            (backend, triangular, best_of(workers, backend, ex, triangular, True))
+            for backend in backends
+            for triangular in plans
+        ]
+        backend, triangular, best_seconds = min(candidates, key=lambda c: c[2])
+        record = TuningRecord(
+            backend=backend,
+            triangular=triangular,
+            crossover_ops=2 * total_ops if serial_best < best_seconds else None,
+            best_seconds=best_seconds,
+            candidates=len(candidates),
+            executor=ex,
+        )
         cache.store(
             tuning_key(op, m, n, k_words, word_bits, workers, executor=ex),
             record,

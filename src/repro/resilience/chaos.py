@@ -18,7 +18,7 @@ engaged, and assert two things:
 
 Datasets are sized so the engine's parallel crossover is exceeded
 (the sharded path is what the shard-addressed faults target) and the
-shard strategy is pinned to ``"gemm"`` so the persisted host tuner
+kernel backend is pinned to ``"blas"`` so the persisted host tuner
 cannot make runs diverge between hosts.
 
 Usage::
@@ -126,8 +126,8 @@ def run_chaos_case(
     """Run one application under one seeded fault schedule.
 
     The fault-free reference run and the faulted run share the
-    framework instance, dataset, worker count and pinned ``"gemm"``
-    shard strategy; only the resilience context differs.
+    framework instance, dataset, worker count and pinned ``"blas"``
+    backend; only the resilience context differs.
     """
     if app not in CHAOS_APPS:
         raise ConfigurationError(
@@ -136,7 +136,7 @@ def run_chaos_case(
         )
     a_bits, b_bits = _chaos_dataset(app, rows, sites)
     framework = SNPComparisonFramework(
-        device, Algorithm(_APP_ALGORITHMS[app]), workers=workers, strategy="gemm"
+        device, Algorithm(_APP_ALGORITHMS[app]), workers=workers, backend="blas"
     )
     reference, _ = framework.run(a_bits, b_bits)
 

@@ -39,15 +39,19 @@ Fault kinds and their addressing:
     *no error is raised* -- only the spot-verification guard can catch
     it.
 ``worker-lost``
-    Worker-addressed process death: a spec ``worker-lost@W`` schedules
-    worker process ``W`` of the process shard executor
-    (:mod:`repro.parallel.procpool`) to die abruptly (``os._exit``)
-    when it next claims a shard.  The *worker-side* injector only
-    decides the death (:meth:`FaultInjector.check_worker` consumes the
-    budget and returns ``True``); the parent records the fired event
-    and the ``resilience.workers_lost`` counter when it detects the
-    dead process, because a dying worker cannot ship its own event
-    log.  Threaded and serial runs have no worker processes, so the
+    Dispatch-ordinal process death: a spec ``worker-lost@N`` (count
+    ``c``) kills the worker process of the process shard executor
+    (:mod:`repro.parallel.procpool`) that dequeues dispatch ordinal
+    ``N`` (``.. N+c-1``), whichever worker that is.  Ordinals count the
+    executor's initial shard dispatches in order, across runs under one
+    injector (re-dispatches after a loss do not consume ordinals).  The
+    *parent* decides: :meth:`FaultInjector.mark_worker_loss` consumes
+    one ordinal per dispatch and, on a hit, records the fired event
+    (target = the ordinal) and marks the task; the worker that dequeues
+    it flushes its claim and exits abruptly (``os._exit``).  The task
+    queue is FIFO, so a marked task is always dequeued during its run
+    and the schedule is deterministic however the workers race for
+    tasks.  Threaded and serial runs have no worker processes, so the
     kind never fires there.
 ``latency``
     Ordinal-indexed service-tier delay: each serving micro-batch
@@ -368,27 +372,19 @@ class FaultInjector:
                 attempt=attempt,
             )
 
-    def check_worker(self, worker_id: int) -> bool:
-        """Worker hook: ``True`` when the plan schedules this worker's death.
+    def mark_worker_loss(self) -> bool:
+        """Process-pool dispatch hook: ``True`` marks the task as fatal.
 
-        Consumes one firing of the ``worker-lost`` budget for
-        ``worker_id`` per call.  Unlike the raising hooks this one does
-        *not* record a fired event or counter: the caller is a worker
-        process about to ``os._exit``, so its in-memory event log would
-        be lost -- the parent process records the event when it detects
-        the death instead.
+        Consumes one ``worker-lost`` dispatch ordinal per call (the
+        parent calls it once per initial shard dispatch) and, when the
+        plan schedules a loss at that ordinal, records the fired event
+        here -- the worker that dequeues the marked task dies without a
+        chance to ship its own event log.
         """
-        with self._lock:
-            key = ("worker-lost", worker_id)
-            used = self._consumed.get(key, 0)
-            budget = sum(
-                s.count
-                for s in self.plan.specs
-                if s.kind == "worker-lost" and s.target == worker_id
-            )
-            if used >= budget:
-                return False
-            self._consumed[key] = used + 1
+        ordinal = self._next_ordinal("worker-lost")
+        if not self._ordinal_spec_hit("worker-lost", ordinal):
+            return False
+        self._record("worker-lost", ordinal, 0, site="procpool")
         return True
 
     def service_delay(self, site: str = "serve.batch") -> float:
@@ -510,7 +506,7 @@ class NullInjector:
     def check_shard(self, shard_id: int, attempt: int) -> None:
         pass
 
-    def check_worker(self, worker_id: int) -> bool:
+    def mark_worker_loss(self) -> bool:
         return False
 
     def service_delay(self, site: str = "serve.batch") -> float:

@@ -39,10 +39,11 @@ class CheckResult:
 
 
 def _check_functional_agreement() -> CheckResult:
-    from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast, bit_gemm_reference
+    from repro.blis.gemm import bit_gemm_reference
     from repro.core.config import Algorithm
     from repro.core.framework import SNPComparisonFramework
     from repro.gpu.arch import ALL_GPUS
+    from repro.kernels import available_backends
     from repro.snp.stats import ld_counts_naive
     from repro.sparse.kernels import sparse_comparison
     from repro.sparse.matrix import SparseSNPMatrix
@@ -54,10 +55,10 @@ def _check_functional_agreement() -> CheckResult:
     packed = pack_bits(bits, 32)
     tables = [
         bit_gemm_reference(packed, packed),
-        bit_gemm_blocked(packed, packed),
-        bit_gemm_fast(packed, packed),
         sparse_comparison(SparseSNPMatrix.from_dense(bits)),
     ]
+    for backend in available_backends():
+        tables.append(backend.bit_gemm_panel(packed, packed))
     for arch in ALL_GPUS:
         table, _ = SNPComparisonFramework(arch, Algorithm.LD).run(bits)
         tables.append(table)

@@ -130,7 +130,6 @@ class IdentityService:
         k: int = 5,
         device: "str | GPUArchitecture" = "Titan V",
         workers: int | None = None,
-        strategy: str = "auto",
         backend: str = "auto",
         executor: str = "auto",
         window_s: float = 0.005,
@@ -159,7 +158,6 @@ class IdentityService:
             device,
             Algorithm.FASTID_IDENTITY,
             workers=workers,
-            strategy=strategy,
             backend=backend,
             executor=executor,
         )

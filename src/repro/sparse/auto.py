@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blis.gemm import bit_gemm_fast
 from repro.blis.microkernel import ComparisonOp, get_microkernel
 from repro.errors import DatasetError
+from repro.parallel.engine import bit_gemm_parallel
 from repro.sparse.cost import SparseCostModel
 from repro.sparse.kernels import sparse_comparison
 from repro.sparse.matrix import SparseSNPMatrix
@@ -86,5 +86,5 @@ def auto_comparison(
     else:
         pa = pack_bits(a, 32)
         pb = pa if b_bits is None else pack_bits(b, 32)
-        table = bit_gemm_fast(pa, pb, op)
+        table = bit_gemm_parallel(pa, pb, op, workers=1)
     return table, choice

@@ -1,12 +1,14 @@
-"""Tests for repro.blis.gemm: the three popcount-GEMM drivers."""
+"""Tests for the popcount-GEMM drivers: repro.blis.gemm's reference and
+blocked walks, and the identity-based fast path (the ``blas`` backend)."""
 
 import numpy as np
 import pytest
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast, bit_gemm_reference
+from repro.blis.gemm import bit_gemm_blocked, bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import PackingError
+from repro.kernels import get_backend
 from repro.snp.stats import (
     identity_distances_naive,
     ld_counts_naive,
@@ -15,6 +17,9 @@ from repro.snp.stats import (
 from repro.util.bitops import pack_bits
 
 OPS = [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT]
+
+#: The identity-based fast path: one float GEMM over unpacked bits.
+bit_gemm_fast = get_backend("blas").bit_gemm_panel
 
 
 @pytest.fixture(scope="module")

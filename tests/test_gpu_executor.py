@@ -31,20 +31,20 @@ def operands():
 class TestFunctionalPaths:
     def test_blocked_path_correct(self, kernel, operands):
         bits_a, bits_b, pa, pb = operands
-        c, profile = execute_kernel(kernel, pa, pb, force_blocked_path=True)
+        c, profile = execute_kernel(kernel, pa, pb, backend="sim")
         assert (c == ld_counts_naive(bits_a, bits_b)).all()
         assert profile.used_blocked_path
 
     def test_fast_path_correct(self, kernel, operands):
         bits_a, bits_b, pa, pb = operands
-        c, profile = execute_kernel(kernel, pa, pb, force_blocked_path=False)
+        c, profile = execute_kernel(kernel, pa, pb, backend="blas")
         assert (c == ld_counts_naive(bits_a, bits_b)).all()
         assert not profile.used_blocked_path
 
     def test_paths_produce_identical_timing(self, kernel, operands):
         _, _, pa, pb = operands
-        _, p1 = execute_kernel(kernel, pa, pb, force_blocked_path=True)
-        _, p2 = execute_kernel(kernel, pa, pb, force_blocked_path=False)
+        _, p1 = execute_kernel(kernel, pa, pb, backend="sim")
+        _, p2 = execute_kernel(kernel, pa, pb, backend="blas")
         assert p1.seconds == p2.seconds
         assert p1.breakdown == p2.breakdown
 

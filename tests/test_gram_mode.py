@@ -1,6 +1,5 @@
-"""Tests for symmetry-aware Gram mode: triangular shard plans, the
-operand-deduplicated panel cache, serial triangular walks, and the
-persisted host autotuner."""
+"""Tests for symmetry-aware Gram mode: triangular shard plans, Gram runs
+on every shard kernel, and the persisted host autotuner."""
 
 import json
 
@@ -12,20 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import (
-    bit_gemm_blocked,
-    bit_gemm_reference,
-    same_operand,
-)
+from repro.blis.gemm import bit_gemm_reference, same_operand
 from repro.blis.microkernel import ComparisonOp
 from repro.core.framework import SNPComparisonFramework
 from repro.core.config import Algorithm
 from repro.core.ld import linkage_disequilibrium
 from repro.errors import ConfigurationError, PackingError
-from repro.observability.counters import GEMM_WORD_OPS, PANEL_DEDUP_HITS, SHARDS_MIRRORED
+from repro.observability.counters import GEMM_WORD_OPS, SHARDS_MIRRORED
 from repro.observability.tracer import Tracer, set_tracer
-from repro.parallel import ShardPlan, get_engine
-from repro.kernels import DEFAULT_BACKEND_NAME, registered_backends
+from repro.parallel import ParallelEngine, ShardPlan, get_engine
+from repro.kernels import REPRO_BACKEND_ENV, registered_backends
 from repro.parallel.tuner import (
     TUNING_FORMAT,
     TuningCache,
@@ -37,22 +32,22 @@ from repro.parallel.tuner import (
 )
 
 
-def _n_extra_tunable_backends() -> int:
-    """Tunable, available backends the tuner races beyond the default."""
-    return sum(
-        1
+def _tunable_backends() -> list[str]:
+    """Tunable, available backends: the tuner's candidate set."""
+    return [
+        be.info.name
         for be in registered_backends()
-        if be.info.tunable
-        and be.info.available
-        and be.info.name != DEFAULT_BACKEND_NAME
-    )
+        if be.info.tunable and be.info.available
+    ]
 
 SYMMETRIC_OPS = [
     ComparisonOp.AND,
     ComparisonOp.XOR,
     ComparisonOp.AND_PRENEGATED,
 ]
-STRATEGIES = ["gemm", "blocked"]
+#: The two shard kernels by the backend that carries each: the BLAS
+#: identity GEMM ("gemm") and the BLIS blocked tile walk ("blocked").
+SHARD_KERNELS = {"gemm": "blas", "blocked": "sim"}
 
 
 @pytest.fixture()
@@ -132,10 +127,10 @@ class TestTriangularPlan:
 
 class TestGramExactness:
     @pytest.mark.parametrize("op", SYMMETRIC_OPS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_parallel_triangular_matches_reference(self, op, strategy):
+    @pytest.mark.parametrize("kernel", SHARD_KERNELS)
+    def test_parallel_triangular_matches_reference(self, op, kernel):
         a = square_words(70, 5, seed=3)
-        engine = get_engine(2, strategy)
+        engine = get_engine(2, SHARD_KERNELS[kernel])
         c, report = engine.run(a, a, op, force_parallel=True)
         assert report.symmetric
         assert report.n_mirrored > 0
@@ -144,15 +139,19 @@ class TestGramExactness:
 
     @pytest.mark.parametrize("op", SYMMETRIC_OPS)
     def test_serial_blocked_triangular_matches_reference(self, op):
+        # One worker, the blocked walk per shard, a triangular plan.
         a = square_words(48, 3, seed=4)
         plan = BlockingPlan(m=48, n=48, k=3, m_c=8, k_c=2, m_r=4, n_r=8)
-        c = bit_gemm_blocked(a, a, op, plan, symmetric=True)
+        engine = ParallelEngine(workers=1, backend="sim")
+        c, report = engine.run(a, a, op, plan=plan, force_parallel=True)
+        assert report.symmetric
         assert (c == bit_gemm_reference(a, a, op)).all()
 
     def test_serial_blocked_triangular_skips_ops(self, tracer):
         a = square_words(64, 2, seed=5)
         plan = BlockingPlan(m=64, n=64, k=2, m_c=8, k_c=2, m_r=4, n_r=8)
-        bit_gemm_blocked(a, a, ComparisonOp.AND, plan, symmetric=True)
+        engine = ParallelEngine(workers=1, backend="sim")
+        engine.run(a, a, ComparisonOp.AND, plan=plan, force_parallel=True)
         gram_ops = tracer.counters.get(GEMM_WORD_OPS)
         assert 0 < gram_ops < 64 * 64 * 2
 
@@ -161,14 +160,14 @@ class TestGramExactness:
         k=st.integers(1, 4),
         seed=st.integers(0, 2**16),
         op=st.sampled_from(SYMMETRIC_OPS),
-        strategy=st.sampled_from(STRATEGIES),
+        kernel=st.sampled_from(sorted(SHARD_KERNELS)),
     )
     @settings(max_examples=25, deadline=None)
     def test_property_triangular_gram_matches_reference(
-        self, m, k, seed, op, strategy
+        self, m, k, seed, op, kernel
     ):
         a = square_words(m, k, seed=seed)
-        engine = get_engine(2, strategy)
+        engine = get_engine(2, SHARD_KERNELS[kernel])
         c, report = engine.run(a, a, op, force_parallel=True, symmetric=True)
         assert report.symmetric
         assert (c == bit_gemm_reference(a, a, op)).all()
@@ -180,7 +179,7 @@ class TestGramExactness:
 class TestSymmetryValidation:
     def test_andnot_never_triangular(self):
         a = square_words(40, 3, seed=6)
-        engine = get_engine(2, "gemm")
+        engine = get_engine(2, "blas")
         c, report = engine.run(a, a, ComparisonOp.ANDNOT, force_parallel=True)
         assert not report.symmetric
         assert report.n_mirrored == 0
@@ -188,18 +187,15 @@ class TestSymmetryValidation:
 
     def test_explicit_symmetric_with_andnot_rejected(self):
         a = square_words(16, 2)
-        engine = get_engine(2, "gemm")
+        engine = get_engine(2, "blas")
         with pytest.raises(PackingError):
             engine.run(a, a, ComparisonOp.ANDNOT, symmetric=True)
-        plan = BlockingPlan(m=16, n=16, k=2, m_c=8, k_c=2, m_r=4, n_r=8)
-        with pytest.raises(PackingError):
-            bit_gemm_blocked(a, a, ComparisonOp.ANDNOT, plan, symmetric=True)
 
     def test_equal_content_copy_accepted(self):
         a = square_words(24, 2, seed=7)
         b = a.copy()
         assert not same_operand(a, b)
-        engine = get_engine(2, "gemm")
+        engine = get_engine(2, "blas")
         c, report = engine.run(
             a, b, ComparisonOp.AND, force_parallel=True, symmetric=True
         )
@@ -209,18 +205,15 @@ class TestSymmetryValidation:
     def test_different_content_rejected(self):
         a = square_words(24, 2, seed=8)
         b = square_words(24, 2, seed=9)
-        engine = get_engine(2, "gemm")
+        engine = get_engine(2, "blas")
         with pytest.raises(PackingError):
             engine.run(a, b, ComparisonOp.AND, symmetric=True)
-        plan = BlockingPlan(m=24, n=24, k=2, m_c=8, k_c=2, m_r=4, n_r=8)
-        with pytest.raises(PackingError):
-            bit_gemm_blocked(a, b, ComparisonOp.AND, plan, symmetric=True)
 
     def test_copy_not_auto_detected(self):
         # Auto-detection stays pointer-based: a copy computes the full
         # product unless the caller asserts symmetry explicitly.
         a = square_words(24, 2, seed=10)
-        engine = get_engine(2, "gemm")
+        engine = get_engine(2, "blas")
         _, report = engine.run(a, a.copy(), ComparisonOp.AND, force_parallel=True)
         assert not report.symmetric
 
@@ -240,7 +233,7 @@ class TestGramOpSavings:
         """LD-style self-comparison: Gram mode computes <= 0.55x the
         word-ops of the full path (exact counter accounting)."""
         a = square_words(1024, 16, seed=11)
-        engine = get_engine(4, "gemm")
+        engine = get_engine(4, "blas")
 
         _, full_report = engine.run(
             a, a, ComparisonOp.AND, force_parallel=True, symmetric=False
@@ -257,22 +250,10 @@ class TestGramOpSavings:
 
     def test_mirrored_shards_counted(self, tracer):
         a = square_words(1024, 16, seed=11)
-        engine = get_engine(4, "gemm")
+        engine = get_engine(4, "blas")
         _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
         assert tracer.counters.get(SHARDS_MIRRORED) == report.n_mirrored
         assert report.n_mirrored > 0
-
-    def test_panel_dedup_hits_on_self_comparison(self, tracer):
-        a = square_words(256, 8, seed=12)
-        engine = get_engine(2, "gemm")
-        _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        assert tracer.counters.get(PANEL_DEDUP_HITS) > 0
-        if report.executor == "thread":
-            assert report.cache_stats.dedup_hits > 0
-        else:
-            # Process workers keep their own panel caches; dedup hits
-            # reach the parent only through the merged counters above.
-            assert report.cache_stats is None
 
 
 # -- device plan re-blocking -----------------------------------------------------
@@ -284,7 +265,7 @@ class TestGramReblocking:
         # must still band the triangular plan finely.
         a = square_words(512, 8, seed=13)
         plan = BlockingPlan(m=512, n=512, k=8, m_c=32, k_c=8, m_r=4, n_r=512)
-        engine = get_engine(4, "gemm")
+        engine = get_engine(4, "blas")
         c, report = engine.run(a, a, ComparisonOp.AND, plan=plan, force_parallel=True)
         assert report.symmetric
         assert report.n_mirrored > 0
@@ -294,7 +275,7 @@ class TestGramReblocking:
         a = square_words(128, 4, seed=14)
         b = square_words(128, 4, seed=15)
         plan = BlockingPlan(m=128, n=128, k=4, m_c=32, k_c=4, m_r=4, n_r=128)
-        engine = get_engine(2, "gemm")
+        engine = get_engine(2, "blas")
         _, report = engine.run(a, b, ComparisonOp.AND, plan=plan, force_parallel=True)
         assert report.shard_plan.blocking.n_r == 128
 
@@ -307,7 +288,7 @@ class TestFrameworkGram:
         rng = np.random.default_rng(16)
         mat = rng.integers(0, 2, size=(512, 512), dtype=np.uint8)
         result = linkage_disequilibrium(
-            mat, compare="sites", workers=4, strategy="gemm"
+            mat, compare="sites", workers=4, backend="blas"
         )
         parallel = result.report.kernel_profiles[0].parallel
         assert parallel is not None
@@ -317,9 +298,9 @@ class TestFrameworkGram:
     def test_gram_false_disables(self):
         rng = np.random.default_rng(16)
         mat = rng.integers(0, 2, size=(512, 512), dtype=np.uint8)
-        on = linkage_disequilibrium(mat, compare="sites", workers=4, strategy="gemm")
+        on = linkage_disequilibrium(mat, compare="sites", workers=4, backend="blas")
         off = linkage_disequilibrium(
-            mat, compare="sites", workers=4, gram=False, strategy="gemm"
+            mat, compare="sites", workers=4, gram=False, backend="blas"
         )
         off_parallel = off.report.kernel_profiles[0].parallel
         assert not off_parallel.symmetric
@@ -330,7 +311,7 @@ class TestFrameworkGram:
         rng = np.random.default_rng(17)
         mat = rng.integers(0, 2, size=(512, 512), dtype=np.uint8)
         fw = SNPComparisonFramework(
-            "Titan V", Algorithm.LD, workers=4, strategy="gemm"
+            "Titan V", Algorithm.LD, workers=4, backend="blas"
         )
         table, report = fw.run(mat, mat)
         assert report.kernel_profiles[0].parallel.symmetric
@@ -342,7 +323,7 @@ class TestFrameworkGram:
         rng = np.random.default_rng(18)
         refs = rng.integers(0, 2, size=(512, 512), dtype=np.uint8)
         result = mixture_analysis(
-            refs, refs, device="Vega 64", workers=4, strategy="gemm"
+            refs, refs, device="Vega 64", workers=4, backend="blas"
         )
         parallel = result.report.kernel_profiles[0].parallel
         assert parallel is not None
@@ -357,7 +338,7 @@ class TestTuningCache:
         path = tmp_path / "tuning.json"
         cache = TuningCache(path)
         record = TuningRecord(
-            strategy="gemm",
+            backend="blas",
             triangular=True,
             crossover_ops=None,
             best_seconds=0.01,
@@ -385,15 +366,33 @@ class TestTuningCache:
         assert "corrupt" in cache.load_error
 
     def test_foreign_format_degrades_gracefully(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        path.write_text(json.dumps({"format": "other/9", "records": {}}))
-        cache = TuningCache(path)
-        assert cache.lookup("anything") is None
-        assert "format" in cache.load_error
+        key = tuning_key(ComparisonOp.AND, 100, 100, 8, 64, 4)
+        # The previous format's records also carried a shard strategy:
+        # stale, so neither raised on nor half-read.
+        parent_record = {
+            "strategy": "gemm", "backend": "numpy", "triangular": True,
+            "crossover_ops": None, "best_seconds": 0.01, "candidates": 4,
+        }
+        for doc in (
+            {"format": "other/9", "records": {}},
+            {"format": "repro-host-tuning/1", "records": {key: parent_record}},
+        ):
+            path = tmp_path / "tuning.json"
+            path.write_text(json.dumps(doc))
+            cache = TuningCache(path)
+            assert cache.lookup(key) is None
+            assert "format" in cache.load_error
+            # The next save replaces the stale file wholesale.
+            record = TuningRecord("blas", True, None, 0.01, 4)
+            cache.store(key, record)
+            cache.save()
+            saved = json.loads(path.read_text())
+            assert saved["format"] == TUNING_FORMAT
+            assert saved["records"] == {key: record.to_json()}
 
     def test_bad_record_skipped_good_kept(self, tmp_path):
         path = tmp_path / "tuning.json"
-        good = TuningRecord("blocked", False, None, 0.5, 2).to_json()
+        good = TuningRecord("sim", False, None, 0.5, 2).to_json()
         path.write_text(
             json.dumps(
                 {
@@ -419,10 +418,9 @@ class TestTuningCache:
         record = tune_problem(
             48, 48, 2, op=ComparisonOp.AND, workers=2, cache=cache
         )
-        assert record.strategy in STRATEGIES + ["panel"]
-        # {gemm, blocked} x {full, triangular} plus {full, triangular}
-        # for each extra tunable backend the tuner races.
-        assert record.candidates == 4 + 2 * _n_extra_tunable_backends()
+        assert record.backend in _tunable_backends()
+        # Every tunable backend x {full, triangular}.
+        assert record.candidates == 2 * len(_tunable_backends())
         reloaded = TuningCache(tmp_path / "tuning.json")
         key = tuning_key(ComparisonOp.AND, 48, 48, 2, 64, 2)
         assert reloaded.lookup(key) == record
@@ -433,7 +431,7 @@ class TestTuningCache:
             32, 48, 2, op=ComparisonOp.ANDNOT, workers=2, cache=cache,
             persist=False,
         )
-        assert record.candidates == 2 + _n_extra_tunable_backends()
+        assert record.candidates == len(_tunable_backends())
         assert not record.triangular
 
     def test_tune_problem_rejects_bad_extents(self, tmp_path):
@@ -455,10 +453,11 @@ def _env_executor() -> str:
 
 
 class TestEngineConsultsTuner:
-    def test_auto_honours_tuned_strategy(self, tuning_sandbox):
+    def test_auto_honours_tuned_strategy(self, tuning_sandbox, monkeypatch):
+        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
         a = square_words(64, 2, seed=20)
         record = TuningRecord(
-            strategy="blocked",
+            backend="sim",
             triangular=False,
             crossover_ops=None,
             best_seconds=0.001,
@@ -470,22 +469,26 @@ class TestEngineConsultsTuner:
         )
         engine = get_engine(2, "auto")
         c, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        assert report.strategy == "blocked"
+        assert report.backend == "sim"
         # The record measured full plans faster: the Gram hint is dropped.
         assert not report.symmetric
         assert (c == bit_gemm_reference(a, a, ComparisonOp.AND)).all()
 
-    def test_auto_without_record_defaults_to_gemm(self, tuning_sandbox):
-        a = square_words(64, 2, seed=21)
+    def test_auto_without_record_defaults_to_gemm(self, tuning_sandbox, monkeypatch):
+        # Untuned "auto" applies the size rule: the BLAS identity GEMM
+        # above AUTO_WORD_WALK_MAX_OPS (512 * 512 * 16 word-ops here).
+        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
+        a = square_words(512, 16, seed=21)
         engine = get_engine(2, "auto")
         _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        assert report.strategy == "gemm"
+        assert report.backend == "blas"
         assert report.symmetric
 
-    def test_auto_with_triangular_record_keeps_gram(self, tuning_sandbox):
+    def test_auto_with_triangular_record_keeps_gram(self, tuning_sandbox, monkeypatch):
+        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
         a = square_words(64, 2, seed=22)
         record = TuningRecord(
-            strategy="gemm",
+            backend="blas",
             triangular=True,
             crossover_ops=None,
             best_seconds=0.001,
@@ -497,11 +500,11 @@ class TestEngineConsultsTuner:
         )
         engine = get_engine(2, "auto")
         _, report = engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        assert report.strategy == "gemm"
+        assert report.backend == "blas"
         assert report.symmetric
 
     def test_lookup_tuned_reads_sandbox(self, tuning_sandbox):
-        record = TuningRecord("gemm", True, 12345, 0.5, 4)
+        record = TuningRecord("blas", True, 12345, 0.5, 4)
         tuning_sandbox.store(tuning_key(ComparisonOp.XOR, 8, 8, 1, 64, 3), record)
         assert lookup_tuned(ComparisonOp.XOR, 8, 8, 1, 64, 3) == record
         assert lookup_tuned(ComparisonOp.XOR, 8, 8, 1, 64, 5) is None

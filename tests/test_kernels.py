@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm_backend, bit_gemm_reference
+from repro.blis.gemm import bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import ConfigurationError, PackingError
 from repro.kernels import (
+    AUTO_WORD_WALK_MAX_OPS,
     DEFAULT_BACKEND_NAME,
     OPCODES,
     REPRO_BACKEND_ENV,
@@ -32,7 +33,7 @@ from repro.kernels import (
 from repro.kernels.numba_backend import HAVE_NUMBA, _python_panel
 from repro.observability.counters import GEMM_CALLS, GEMM_WORD_OPS
 from repro.observability.tracer import Tracer, set_tracer
-from repro.parallel.engine import ParallelEngine
+from repro.parallel.engine import ParallelEngine, bit_gemm_parallel
 from repro.parallel.tuner import TuningCache, TuningRecord, tuning_key
 from repro.util.bitops import popcount
 
@@ -63,7 +64,7 @@ def clean_env(monkeypatch):
 class TestBackendConformance:
     def test_registry_has_builtins(self):
         names = backend_names()
-        for expected in ("numpy", "numba", "cnative", "sim"):
+        for expected in ("numpy", "blas", "numba", "cnative", "sim"):
             assert expected in names
         assert DEFAULT_BACKEND_NAME in names
 
@@ -72,7 +73,7 @@ class TestBackendConformance:
             info = backend.info
             assert isinstance(info, BackendInfo)
             assert info.name and info.kind and info.version
-            assert info.kind in ("reference", "jit", "native", "simulated")
+            assert info.kind in ("reference", "blas", "jit", "native", "simulated")
             if not info.available:
                 assert info.unavailable_reason
 
@@ -112,6 +113,44 @@ class TestBackendConformance:
             for backend in available_backends():
                 got = backend.bit_gemm_panel(a, b, ComparisonOp.AND)
                 assert np.array_equal(got, expected), (backend.info.name, k)
+
+    @pytest.mark.parametrize(
+        "name", ["numpy", "blas", "numba", "cnative", "sim"]
+    )
+    def test_every_path_bit_exact_vs_reference(self, name, clean_env):
+        """Backend x executor x {full, Gram} x op x word dtype.
+
+        130 rows band the triangular plan into three diagonal bands,
+        so sharded Gram runs mirror off-diagonal shards.
+        """
+        if not backend_available(name):
+            pytest.skip(f"backend {name} unavailable on this host")
+        engines = {
+            "serial": ParallelEngine(workers=1, backend=name),
+            "thread": ParallelEngine(workers=2, backend=name, executor="thread"),
+            "process": ParallelEngine(workers=2, backend=name, executor="process"),
+        }
+        try:
+            for dtype in WORD_DTYPES:
+                a = make_words(130, 2, dtype, seed=91)
+                b = make_words(97, 2, dtype, seed=92)
+                for op in ALL_OPS:
+                    for right in (b, a):  # full, then Gram (same operand)
+                        expected = bit_gemm_reference(a, right, op)
+                        for executor, engine in engines.items():
+                            table, report = engine.run(
+                                a, right, op, force_parallel=executor != "serial"
+                            )
+                            case = (name, executor, dtype.__name__, op, right is a)
+                            assert np.array_equal(table, expected), case
+                            assert report.backend == name, case
+                            gram = right is a and op.is_symmetric
+                            assert report.symmetric == (
+                                gram and executor != "serial"
+                            ), case
+        finally:
+            for engine in engines.values():
+                engine.shutdown()
 
     def test_panel_validates_operands(self):
         a = make_words(4, 3, np.uint32)
@@ -162,6 +201,12 @@ class TestRegistry:
     def test_resolve_explicit_and_auto(self, clean_env):
         assert resolve_backend_name(None) == DEFAULT_BACKEND_NAME
         assert resolve_backend_name("auto") == DEFAULT_BACKEND_NAME
+        # The size rule: the word-walk up to the limit, blas above it.
+        assert resolve_backend_name("auto", AUTO_WORD_WALK_MAX_OPS) == "numpy"
+        assert resolve_backend_name("auto", AUTO_WORD_WALK_MAX_OPS + 1) == "blas"
+        # A tuned winner beats the size rule unless it went unavailable.
+        assert resolve_backend_name("auto", 1, tuned="sim") == "sim"
+        assert resolve_backend_name("auto", 1, tuned="ghost") == "numpy"
         assert resolve_backend_name("numpy") == "numpy"
         assert resolve_backend("numpy").info.name == "numpy"
         with pytest.raises(ConfigurationError):
@@ -228,10 +273,12 @@ class TestNumbaFallback:
         assert info.tunable == HAVE_NUMBA
 
 
-# -- bit_gemm_backend driver -----------------------------------------------------
+# -- the serial driver: one full shard, one backend panel -----------------------
 
 
 class TestBitGemmBackendDriver:
+    """Serial runs are one full shard computed by one backend panel."""
+
     def test_matches_reference_and_counts(self, clean_env):
         a = make_words(8, 4, np.uint32, seed=41)
         b = make_words(6, 4, np.uint32, seed=42)
@@ -239,10 +286,11 @@ class TestBitGemmBackendDriver:
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            got = bit_gemm_backend(a, b, ComparisonOp.XOR)
+            got, report = ParallelEngine(workers=1).run(a, b, ComparisonOp.XOR)
         finally:
             set_tracer(previous)
         assert np.array_equal(got, expected)
+        assert report.n_shards == 1
         snapshot = tracer.counters.snapshot()
         assert snapshot[GEMM_CALLS] == 1
         assert snapshot[GEMM_WORD_OPS] == 8 * 6 * 4
@@ -252,12 +300,10 @@ class TestBitGemmBackendDriver:
         b = make_words(7, 3, np.uint64, seed=52)
         snapshots = []
         for backend in available_backends():
-            if not backend.info.tunable and backend.info.name != "sim":
-                continue
             tracer = Tracer()
             previous = set_tracer(tracer)
             try:
-                bit_gemm_backend(a, b, backend=backend.info.name)
+                ParallelEngine(workers=1, backend=backend.info.name).run(a, b)
             finally:
                 set_tracer(previous)
             snap = tracer.counters.snapshot()
@@ -269,7 +315,7 @@ class TestBitGemmBackendDriver:
     def test_unknown_backend_raises(self):
         a = make_words(2, 2, np.uint32)
         with pytest.raises(ConfigurationError):
-            bit_gemm_backend(a, a, backend="warp")
+            bit_gemm_parallel(a, a, workers=1, backend="warp")
 
 
 # -- engine integration ----------------------------------------------------------
@@ -285,10 +331,8 @@ class TestEngineBackends:
         b = make_words(32, 8, np.uint32, seed=62)
         expected = bit_gemm_reference(a, b, ComparisonOp.AND)
         for backend in available_backends():
-            if not backend.info.tunable:
-                continue
             name = backend.info.name
-            engine = ParallelEngine(workers=2, strategy="gemm", backend=name)
+            engine = ParallelEngine(workers=2, backend=name)
             try:
                 table, report = engine.run(
                     a, b, ComparisonOp.AND, force_parallel=True
@@ -297,16 +341,12 @@ class TestEngineBackends:
                 engine.shutdown()
             assert np.array_equal(table, expected), name
             assert report.backend == name
-            if name != DEFAULT_BACKEND_NAME:
-                assert report.strategy == "panel"
 
     def test_serial_backend_bit_exact(self, clean_env):
         a = make_words(4, 3, np.uint32, seed=63)
         b = make_words(5, 3, np.uint32, seed=64)
         expected = bit_gemm_reference(a, b, ComparisonOp.ANDNOT)
         for backend in available_backends():
-            if not backend.info.tunable:
-                continue
             name = backend.info.name
             engine = ParallelEngine(workers=1, backend=name)
             try:
@@ -315,32 +355,12 @@ class TestEngineBackends:
                 engine.shutdown()
             assert np.array_equal(table, expected), name
             assert report.backend == name
-            if name != DEFAULT_BACKEND_NAME:
-                assert report.strategy == "serial-panel"
-
-    def test_serial_symmetric_stays_on_reference(self, clean_env):
-        # Gram-mode serial runs keep the reference triangular walk so
-        # mirrored-shard counters never drift across backend legs.
-        a = make_words(6, 3, np.uint32, seed=65)
-        for backend in available_backends():
-            if not backend.info.tunable:
-                continue
-            engine = ParallelEngine(workers=1, backend=backend.info.name)
-            try:
-                table, report = engine.run(
-                    a, a, ComparisonOp.AND, symmetric=True
-                )
-            finally:
-                engine.shutdown()
-            assert report.backend == DEFAULT_BACKEND_NAME
-            assert np.array_equal(
-                table, bit_gemm_reference(a, a, ComparisonOp.AND)
-            )
+            assert report.n_shards == 1
 
     def test_env_backend_steers_auto(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, DEFAULT_BACKEND_NAME)
         a = make_words(16, 4, np.uint32, seed=66)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2)
         try:
             _, report = engine.run(
                 a, a, ComparisonOp.XOR, force_parallel=True, symmetric=False
@@ -359,18 +379,38 @@ class TestTunerBackendKeying:
         assert f"|be[{backend_fingerprint()}]" in key
 
     def test_record_roundtrips_backend(self):
-        record = TuningRecord("panel", False, None, 0.25, 6, backend="numba")
+        record = TuningRecord("numba", False, None, 0.25, 6)
         assert TuningRecord.from_json(record.to_json()) == record
 
-    def test_legacy_record_defaults_to_reference(self):
-        legacy = {
-            "strategy": "gemm",
-            "triangular": True,
-            "crossover_ops": None,
-            "best_seconds": 0.5,
-            "candidates": 4,
-        }
-        assert TuningRecord.from_json(legacy).backend == DEFAULT_BACKEND_NAME
+    def test_legacy_record_defaults_to_reference(self, tmp_path, monkeypatch,
+                                                 clean_env):
+        # A record in the previous file format (which also carried a
+        # shard strategy) is stale: it neither raises nor pins its
+        # backend, so "auto" stays on the size rule's reference pick.
+        import json
+
+        from repro.parallel import tuner as tuner_mod
+
+        a = make_words(16, 4, np.uint32, seed=73)
+        key = tuning_key(ComparisonOp.XOR, 16, 16, 4, 32, 2)
+        path = tmp_path / "tuning.json"
+        path.write_text(json.dumps({
+            "format": "repro-host-tuning/1",
+            "records": {key: {
+                "strategy": "panel", "backend": "sim", "triangular": False,
+                "crossover_ops": None, "best_seconds": 0.5, "candidates": 4,
+            }},
+        }))
+        cache = TuningCache(path)
+        monkeypatch.setattr(tuner_mod, "get_tuning_cache", lambda: cache)
+        engine = ParallelEngine(workers=2)
+        try:
+            _, report = engine.run(a, a, ComparisonOp.XOR, force_parallel=True)
+        finally:
+            engine.shutdown()
+        assert cache.lookup(key) is None
+        assert "format" in cache.load_error
+        assert report.backend == DEFAULT_BACKEND_NAME
 
     def test_stale_backend_record_does_not_pin(self, tmp_path, monkeypatch,
                                                clean_env):
@@ -384,7 +424,7 @@ class TestTunerBackendKeying:
         key = tuning_key(ComparisonOp.AND, 16, 24, 4, 32, 2)
         cache.store(
             key,
-            TuningRecord("panel", False, None, 0.001, 6, backend="ghost"),
+            TuningRecord("ghost", False, None, 0.001, 6),
         )
         cache.save()
         monkeypatch.setattr(tuner_mod, "get_tuning_cache", lambda: cache)
@@ -399,6 +439,147 @@ class TestTunerBackendKeying:
         assert np.array_equal(
             table, bit_gemm_reference(a, b, ComparisonOp.AND)
         )
+
+
+# -- a requested backend is honoured or rejected, never replaced -----------------
+
+#: Counter the shadow backend bumps per panel call; process workers ship
+#: it back to the parent with their other counter deltas.
+SHADOW_CALLS = "test.shadow_panel_calls"
+
+
+class _ShadowBackend(KernelBackend):
+    """Call-counting stand-in registered under another backend's name."""
+
+    def __init__(self, original: KernelBackend, available: bool = True):
+        self._info = original.info
+        self._available = available
+
+    @property
+    def info(self) -> BackendInfo:
+        info = self._info
+        return BackendInfo(
+            name=info.name, kind=info.kind, version=info.version,
+            available=self._available, compiled=info.compiled,
+            tunable=info.tunable, description="call-counting shadow",
+            unavailable_reason=None if self._available else "shadowed off",
+        )
+
+    def bit_gemm_panel(self, a, b, op=ComparisonOp.AND):
+        from repro.observability.tracer import get_tracer
+
+        get_tracer().counters.add(SHADOW_CALLS)
+        return bit_gemm_reference(a, b, op)
+
+
+@pytest.fixture
+def shadowed(clean_env):
+    """Shadow the ``numba`` backend; restore the original afterwards."""
+    original = get_backend("numba")
+
+    def install(available: bool = True) -> None:
+        register_backend(_ShadowBackend(original, available), replace=True)
+
+    yield install
+    register_backend(original, replace=True)
+
+
+def _count_shadow_calls(run) -> float:
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        run()
+    finally:
+        set_tracer(previous)
+    return tracer.counters.get(SHADOW_CALLS)
+
+
+class TestRequestedBackendHonoured:
+    def test_serial_ld_runs_requested_backend(self, shadowed):
+        from repro.core.ld import linkage_disequilibrium
+
+        shadowed()
+        mat = np.random.default_rng(95).integers(0, 2, size=(40, 24), dtype=np.uint8)
+        result = []
+        calls = _count_shadow_calls(
+            lambda: result.append(linkage_disequilibrium(mat, backend="numba"))
+        )
+        assert calls >= 1
+        reference = linkage_disequilibrium(mat, backend="numpy")
+        assert np.array_equal(result[0].counts, reference.counts)
+
+    def test_serial_gram_runs_requested_backend(self, shadowed):
+        shadowed()
+        a = make_words(40, 3, np.uint32, seed=96)
+        engine = ParallelEngine(workers=1, backend="numba")
+        calls = _count_shadow_calls(
+            lambda: engine.run(a, a, ComparisonOp.AND, symmetric=True)
+        )
+        assert calls == 1
+
+    def test_thread_gram_runs_requested_backend(self, shadowed):
+        shadowed()
+        a = make_words(130, 3, np.uint32, seed=97)
+        engine = ParallelEngine(workers=2, backend="numba", executor="thread")
+        try:
+            reports = []
+            calls = _count_shadow_calls(
+                lambda: reports.append(
+                    engine.run(a, a, ComparisonOp.XOR, force_parallel=True)[1]
+                )
+            )
+        finally:
+            engine.shutdown()
+        assert reports[0].symmetric
+        assert calls == reports[0].n_shards > 1
+
+    def test_process_gram_runs_requested_backend(self, shadowed, monkeypatch):
+        # Forked workers inherit the parent's registry, shadow included.
+        from repro.parallel.procpool import REPRO_MP_START_ENV
+
+        monkeypatch.setenv(REPRO_MP_START_ENV, "fork")
+        shadowed()
+        a = make_words(130, 3, np.uint32, seed=98)
+        engine = ParallelEngine(workers=2, backend="numba", executor="process")
+        try:
+            reports = []
+            calls = _count_shadow_calls(
+                lambda: reports.append(
+                    engine.run(a, a, ComparisonOp.AND, force_parallel=True)[1]
+                )
+            )
+        finally:
+            engine.shutdown()
+        assert reports[0].executor == "process"
+        assert calls == reports[0].n_shards > 1
+
+    def test_process_worker_backend_skew_raises(self, shadowed, monkeypatch):
+        # Spawned workers bind "numba" to the real backend: a different
+        # implementation than the parent's, which must fail loudly.
+        from repro.parallel.procpool import REPRO_MP_START_ENV
+
+        monkeypatch.setenv(REPRO_MP_START_ENV, "spawn")
+        shadowed()
+        a = make_words(130, 3, np.uint32, seed=99)
+        engine = ParallelEngine(workers=2, backend="numba", executor="process")
+        try:
+            with pytest.raises(ConfigurationError, match="numba"):
+                engine.run(a, a, ComparisonOp.AND, force_parallel=True)
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize(
+        "workers, executor", [(1, "thread"), (2, "thread"), (2, "process")]
+    )
+    def test_unavailable_backend_raises(self, shadowed, workers, executor):
+        shadowed(available=False)
+        a = make_words(130, 3, np.uint32, seed=100)
+        engine = ParallelEngine(workers=workers, backend="numba", executor=executor)
+        try:
+            with pytest.raises(ConfigurationError, match="unavailable"):
+                engine.run(a, a, ComparisonOp.AND, force_parallel=workers > 1)
+        finally:
+            engine.shutdown()
 
 
 # -- hypothesis property: all backends bit-exact ---------------------------------

@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast
+from repro.blis.gemm import bit_gemm_blocked
 from repro.core.framework import SNPComparisonFramework
 from repro.observability import (
     GEMM_CALLS,
@@ -50,6 +50,10 @@ from repro.observability.regress import (
     record_baseline,
 )
 from repro.parallel.engine import ParallelEngine
+
+#: The two shard kernels by the backend that carries each: the BLAS
+#: identity GEMM ("gemm") and the BLIS blocked tile walk ("blocked").
+SHARD_KERNELS = {"gemm": "blas", "blocked": "sim"}
 from repro.util.bitops import pack_bits
 
 
@@ -175,7 +179,7 @@ class TestNullPath:
         # The process default is the null tracer; run real instrumented
         # work and confirm nothing sticks anywhere.
         pa, pb = make_packed(16, 32, 4)
-        bit_gemm_fast(pa, pb, "and")
+        ParallelEngine(workers=1, backend="blas").run(pa, pb, "and")
         assert get_tracer().counters.snapshot() == {}
         assert get_tracer().n_spans() == 0
 
@@ -190,9 +194,10 @@ class TestCounterExactness:
         return self.M * self.N * self.KW
 
     def test_serial_fast_driver(self):
+        # The identity-based fast path: one full shard on ``blas``.
         tracer = enable()
         pa, pb = make_packed(self.M, self.N, self.KW)
-        bit_gemm_fast(pa, pb, "and")
+        ParallelEngine(workers=1, backend="blas").run(pa, pb, "and")
         assert tracer.counters.get(GEMM_WORD_OPS) == self.expected_word_ops()
         assert tracer.counters.get(GEMM_CALLS) == 1
 
@@ -204,12 +209,12 @@ class TestCounterExactness:
         assert tracer.counters.get(GEMM_CALLS) == 1
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("strategy", ["gemm", "blocked"])
-    def test_sharded_engine_all_paths(self, workers, strategy):
+    @pytest.mark.parametrize("kernel", ["gemm", "blocked"])
+    def test_sharded_engine_all_paths(self, workers, kernel):
         """Word-ops are exact however the work is partitioned."""
         tracer = enable()
         pa, pb = make_packed(self.M, self.N, self.KW)
-        engine = ParallelEngine(workers=workers, strategy=strategy)
+        engine = ParallelEngine(workers=workers, backend=SHARD_KERNELS[kernel])
         try:
             _, report = engine.run(pa, pb, "and", force_parallel=workers > 1)
         finally:
@@ -346,10 +351,9 @@ def _sweep_payload(scale=1.0, word_ops=128 * 512 * 32):
                 "workers": w,
                 "seconds": 0.01 * scale / w,
                 "speedup": float(w),
-                "strategy": "gemm",
+                "backend": "blas",
                 "n_shards": 2 * w,
                 "bit_exact": True,
-                "cache_hit_rate": 0.5,
             }
             for w in (1, 4)
         ],

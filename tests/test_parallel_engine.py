@@ -1,4 +1,4 @@
-"""Tests for repro.parallel: shard plan, panel cache, parallel engine."""
+"""Tests for repro.parallel: shard plan and the parallel engine."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.gpu.kernel import SnpKernel
 from repro.multigpu.executor import run_multi_gpu
 from repro.multigpu.system import QUAD_GTX980
 from repro.parallel import (
-    PanelCache,
     ParallelEngine,
     Shard,
     ShardPlan,
@@ -29,7 +28,9 @@ from repro.util.bitops import pack_bits
 
 OPS = [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT]
 WORKERS = [1, 2, 4]
-STRATEGIES = ["gemm", "blocked"]
+#: The two shard kernels by the backend that carries each: the BLAS
+#: identity GEMM ("gemm") and the BLIS blocked tile walk ("blocked").
+SHARD_KERNELS = {"gemm": "blas", "blocked": "sim"}
 
 
 @pytest.fixture(scope="module")
@@ -118,75 +119,16 @@ class TestShardPlan:
             ShardPlan.from_grid(blocking, 0, 1)
 
 
-# -- panel cache ---------------------------------------------------------------
-
-
-class TestPanelCache:
-    def test_hit_miss_accounting(self):
-        cache = PanelCache(1 << 20)
-        builds = []
-
-        def build():
-            builds.append(1)
-            return np.ones(8, dtype=np.int64)
-
-        first, hit_first = cache.get_or_build_flag("p", build)
-        again, hit_again = cache.get_or_build_flag("p", build)
-        assert not hit_first and hit_again
-        assert again is first and len(builds) == 1
-        stats = cache.stats()
-        assert stats.hits == 1 and stats.misses == 1
-        assert stats.requests == 2 and stats.hit_rate == 0.5
-
-    def test_lru_eviction_within_budget(self):
-        panel = np.zeros(16, dtype=np.uint8)  # 16 bytes each
-        cache = PanelCache(budget_bytes=40)  # room for two panels
-        cache.get_or_build("a", lambda: panel.copy())
-        cache.get_or_build("b", lambda: panel.copy())
-        cache.get_or_build("a", lambda: panel.copy())  # refresh a
-        cache.get_or_build("c", lambda: panel.copy())  # evicts b (LRU)
-        assert len(cache) == 2
-        _, hit_a = cache.get_or_build_flag("a", lambda: panel.copy())
-        _, hit_b = cache.get_or_build_flag("b", lambda: panel.copy())
-        assert hit_a and not hit_b
-        assert cache.stats().evictions >= 1
-        assert cache.stats().current_bytes <= 40
-
-    def test_oversize_panel_bypasses_cache(self):
-        cache = PanelCache(budget_bytes=8)
-        big = cache.get_or_build("big", lambda: np.zeros(64, dtype=np.uint8))
-        assert big.nbytes == 64
-        assert len(cache) == 0
-        assert cache.stats().oversize == 1
-
-    def test_clear_preserves_accounting(self):
-        cache = PanelCache(1 << 20)
-        cache.get_or_build("x", lambda: np.ones(4, dtype=np.int64))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats().misses == 1
-        assert cache.stats().current_bytes == 0
-
-    def test_peak_bytes_tracked(self):
-        cache = PanelCache(1 << 20)
-        cache.get_or_build("x", lambda: np.zeros(100, dtype=np.uint8))
-        assert cache.stats().peak_bytes == 100
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PanelCache(0)
-
-
 # -- engine: bit-exactness ------------------------------------------------------
 
 
 class TestEngineBitExact:
     @pytest.mark.parametrize("op", OPS)
     @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_matches_reference(self, operands, op, workers, strategy):
+    @pytest.mark.parametrize("kernel", SHARD_KERNELS)
+    def test_matches_reference(self, operands, op, workers, kernel):
         _, _, pa, pb = operands
-        engine = ParallelEngine(workers=workers, strategy=strategy)
+        engine = ParallelEngine(workers=workers, backend=SHARD_KERNELS[kernel])
         try:
             c, report = engine.run(pa, pb, op, force_parallel=True)
         finally:
@@ -195,8 +137,8 @@ class TestEngineBitExact:
         assert (c == bit_gemm_reference(pa, pb, op)).all()
         assert report.used_parallel
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_ragged_extents(self, strategy):
+    @pytest.mark.parametrize("kernel", SHARD_KERNELS)
+    def test_ragged_extents(self, kernel):
         rng = np.random.default_rng(3)
         bits_a = (rng.random((13, 257)) < 0.5).astype(np.uint8)
         bits_b = (rng.random((29, 257)) < 0.5).astype(np.uint8)
@@ -204,7 +146,7 @@ class TestEngineBitExact:
         plan = BlockingPlan(
             m=13, n=29, k=pa.shape[1], m_c=8, k_c=3, m_r=4, n_r=8
         )
-        engine = ParallelEngine(workers=2, strategy=strategy)
+        engine = ParallelEngine(workers=2, backend=SHARD_KERNELS[kernel])
         try:
             c, _ = engine.run(pa, pb, ComparisonOp.XOR, plan=plan,
                               force_parallel=True)
@@ -240,7 +182,7 @@ class TestEngineBitExact:
         assert (c == bit_gemm_reference(pa, pb, ComparisonOp.ANDNOT)).all()
 
 
-# -- engine: dispatch, report, cache --------------------------------------------
+# -- engine: dispatch and report -----------------------------------------------
 
 
 class TestEngineDispatch:
@@ -248,7 +190,7 @@ class TestEngineDispatch:
         _, _, pa, pb = operands
         c, report = ParallelEngine(workers=1).run(pa, pb)
         assert not report.used_parallel
-        assert report.strategy.startswith("serial-")
+        assert report.shard_plan is None and report.n_shards == 1
         assert (c == bit_gemm_reference(pa, pb)).all()
 
     def test_small_problem_below_crossover_stays_serial(self, operands):
@@ -279,29 +221,6 @@ class TestEngineDispatch:
         assert (paint_coverage(report.shard_plan) == 1).all()
         assert all(p.seconds >= 0 for p in report.shard_profiles)
 
-    def test_shards_sharing_panels_hit_cache(self, operands):
-        _, _, pa, pb = operands
-        # A 2x2 (or wider) shard grid shares every A panel across a grid
-        # row and every B panel across a grid column, so the second
-        # consumer of each panel must hit.
-        engine = ParallelEngine(workers=4, oversubscribe=4)
-        try:
-            _, report = engine.run(pa, pb, force_parallel=True)
-        finally:
-            engine.shutdown()
-        assert report.shard_plan.grid_rows > 1
-        if report.executor == "process":
-            # Panel caches live inside the worker processes under the
-            # process executor (e.g. the REPRO_EXECUTOR=process CI
-            # leg); no aggregated parent-side stats are reported.
-            assert report.cache_stats is None
-            return
-        assert report.cache_stats is not None
-        assert report.cache_stats.hits > 0
-        per_shard = sum(p.cache_hits + p.cache_misses
-                        for p in report.shard_profiles)
-        assert per_shard == report.cache_stats.requests
-
     def test_invalid_operands_rejected(self, operands):
         _, _, pa, pb = operands
         engine = ParallelEngine(workers=1)
@@ -319,7 +238,7 @@ class TestEngineDispatch:
         with pytest.raises(ConfigurationError):
             ParallelEngine(workers=0)
         with pytest.raises(ConfigurationError):
-            ParallelEngine(strategy="magic")
+            ParallelEngine(backend="magic")
 
     def test_get_engine_shares_instances(self):
         assert get_engine(2) is get_engine(2)

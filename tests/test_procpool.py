@@ -472,14 +472,14 @@ class TestTunerExecutorAxis:
 
     def test_record_roundtrip_keeps_executor(self):
         record = TuningRecord(
-            strategy="gemm", triangular=False, crossover_ops=None,
+            backend="blas", triangular=False, crossover_ops=None,
             best_seconds=0.5, candidates=4, executor="process",
         )
         assert TuningRecord.from_json(record.to_json()).executor == "process"
 
     def test_stale_record_degrades_to_thread(self):
         record = TuningRecord(
-            strategy="gemm", triangular=False, crossover_ops=None,
+            backend="blas", triangular=False, crossover_ops=None,
             best_seconds=0.5, candidates=4,
         )
         payload = record.to_json()
@@ -488,7 +488,7 @@ class TestTunerExecutorAxis:
 
     def test_record_rejects_unknown_executor(self):
         record = TuningRecord(
-            strategy="gemm", triangular=False, crossover_ops=None,
+            backend="blas", triangular=False, crossover_ops=None,
             best_seconds=0.5, candidates=4,
         )
         payload = record.to_json()
@@ -501,7 +501,7 @@ class TestTunerExecutorAxis:
 
         cache = tuner.configure_tuning(tmp_path / "tuning.json")
         record = TuningRecord(
-            strategy="blocked", triangular=False, crossover_ops=None,
+            backend="sim", triangular=False, crossover_ops=None,
             best_seconds=0.25, candidates=2, executor="process",
         )
         cache.store(

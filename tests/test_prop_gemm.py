@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.blis.blocking import BlockingPlan
-from repro.blis.gemm import bit_gemm_blocked, bit_gemm_fast, bit_gemm_reference
+from repro.blis.gemm import bit_gemm_blocked, bit_gemm_reference
 from repro.blis.microkernel import ComparisonOp
+from repro.kernels import get_backend
+
+#: The identity-based fast path: one float GEMM over unpacked bits.
+bit_gemm_fast = get_backend("blas").bit_gemm_panel
 
 ops = st.sampled_from(
     [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT, ComparisonOp.AND_PRENEGATED]

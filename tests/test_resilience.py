@@ -142,6 +142,15 @@ class TestFaultInjector:
         injector.check("kernel")  # ordinal 3: past the burst
         assert injector.fired_count("kernel") == 2
 
+    def test_worker_loss_marks_scheduled_dispatch_ordinals(self):
+        injector = FaultInjector(FaultPlan.from_spec("worker-lost@1:2"))
+        marks = [injector.mark_worker_loss() for _ in range(5)]
+        assert marks == [False, True, True, False, False]
+        assert [(e.target, e.site) for e in injector.fired()] == [
+            (1, "procpool"), (2, "procpool"),
+        ]
+        assert not NULL_INJECTOR.mark_worker_loss()
+
     def test_device_fault_is_permanent(self):
         injector = FaultInjector(FaultPlan.from_spec("device@2"))
         injector.check("device", target=1)  # other device: clean
@@ -374,7 +383,7 @@ class TestEngineResilience:
     def test_transient_shard_faults_retry_to_bit_exact(self, operands):
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.AND)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(plan="shard@0:2,slow@1:1", policy=fast_policy()):
             c, report = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert np.array_equal(c, reference)
@@ -388,7 +397,7 @@ class TestEngineResilience:
     def test_exhausted_budget_quarantines_bit_exact(self, operands):
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.XOR)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(
             plan="shard@0:3", policy=fast_policy(max_attempts=2)
         ):
@@ -401,7 +410,7 @@ class TestEngineResilience:
 
     def test_quarantine_disabled_raises_shard_error(self, operands):
         a, b = operands
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(
             plan="shard@0:3",
             policy=fast_policy(max_attempts=2, quarantine=False),
@@ -414,7 +423,7 @@ class TestEngineResilience:
     def test_bitflip_caught_by_spot_verification(self, operands):
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.AND)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(plan="bitflip@0,seed=3", verify_sample=1.0):
             c, report = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert np.array_equal(c, reference)
@@ -427,7 +436,7 @@ class TestEngineResilience:
         # proving the guard (not luck) restores bit-exactness above.
         a, b = operands
         reference = bit_gemm_reference(a, b, ComparisonOp.AND)
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         with resilient(plan="bitflip@0,seed=3"):
             c, _ = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert not np.array_equal(c, reference)
@@ -446,7 +455,7 @@ class TestEngineResilience:
 
     def test_inactive_context_reports_no_resilience(self, operands):
         a, b = operands
-        engine = ParallelEngine(workers=2, strategy="gemm")
+        engine = ParallelEngine(workers=2, backend="blas")
         c, report = engine.run(a, b, ComparisonOp.AND, force_parallel=True)
         assert report.resilience is None
         assert np.array_equal(c, bit_gemm_reference(a, b, ComparisonOp.AND))
@@ -627,7 +636,7 @@ class TestStreamingValidation:
 
 def make_record(best_seconds: float) -> TuningRecord:
     return TuningRecord(
-        strategy="gemm",
+        backend="blas",
         triangular=False,
         crossover_ops=None,
         best_seconds=best_seconds,

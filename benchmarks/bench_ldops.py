@@ -14,6 +14,9 @@ demonstrates, for both operators:
   exact-integer r^2 predicate;
 * **bounded residency** -- ``ldops.window_peak_sites`` never exceeds
   the window, the O(window^2) resident-state claim CI gates exactly;
+* **chain resolution** -- a rising-score correlated chain (the shape of
+  a GWAS peak: no site settles until the stream ends) clumps to the
+  dense reference;
 * **determinism** -- the ``ldops.*`` counters are exact functions of
   the pinned problem and are regression-gated.
 
@@ -50,6 +53,9 @@ SMOKE_PROBLEM = dict(
     chunk_rows=48,
 )
 
+#: Sites in the correlated-chain panel (both problem sizes).
+CHAIN_SITES = 600
+
 
 def make_panel(problem, seed=0):
     """Correlated site-major panel plus per-site clump scores."""
@@ -68,6 +74,18 @@ def make_panel(problem, seed=0):
             sites[i, flips] ^= 1
     scores = rng.random(problem["n_sites"])
     return sites, scores
+
+
+def make_chain_panel(n_sites, n_obs, seed=0):
+    """Identical polymorphic rows with scores rising by site index.
+
+    Every site is above any threshold with its whole window and ranks
+    below its successor, so clump resolution waits on the stream's end.
+    """
+    rng = np.random.default_rng(seed)
+    row = rng.integers(0, 2, size=n_obs, dtype=np.uint8)
+    row[:2] = (0, 1)
+    return np.tile(row, (n_sites, 1)), np.arange(n_sites, dtype=float)
 
 
 def dense_prune_reference(sites, window, r2):
@@ -189,6 +207,16 @@ def run_bench(problem):
     peak = max(
         prune_chunked.peak_window_sites, clump_chunked.peak_window_sites
     )
+    chain_sites, chain_scores = make_chain_panel(CHAIN_SITES, problem["n_obs"])
+    chain = ld_clump(
+        chain_sites, chain_scores, window, problem["clump_r2"],
+        chunk_rows=problem["chunk_rows"], workers=1,
+    )
+    chain_matches_dense_reference = chain.assignment.tolist() == (
+        dense_clump_reference(
+            chain_sites, chain_scores, window, problem["clump_r2"]
+        ).tolist()
+    )
 
     return {
         "problem": dict(problem),
@@ -204,6 +232,9 @@ def run_bench(problem):
             "chunked_matches_inmemory": bool(chunked_matches_inmemory),
             "matches_dense_reference": bool(matches_dense_reference),
             "window_bound_ok": bool(peak <= window),
+            "chain_matches_dense_reference": bool(
+                chain_matches_dense_reference
+            ),
         },
         "prune_wall_s": prune_wall,
         "clump_wall_s": clump_wall,
@@ -235,6 +266,8 @@ def render(result):
         f"{'yes' if ld['chunked_matches_inmemory'] else 'NO'}",
         f"  matches dense ref   "
         f"{'yes' if ld['matches_dense_reference'] else 'NO'}",
+        f"  chain == dense ref  "
+        f"{'yes' if ld['chain_matches_dense_reference'] else 'NO'}",
     ])
 
 
@@ -257,6 +290,7 @@ if pytest is not None:
         assert result["ldops"]["chunked_matches_inmemory"]
         assert result["ldops"]["matches_dense_reference"]
         assert result["ldops"]["window_bound_ok"]
+        assert result["ldops"]["chain_matches_dense_reference"]
 
     @pytest.mark.artifact("ldops")
     def bench_ldops_prune_pass(benchmark):
@@ -310,6 +344,7 @@ def main(argv=None):
             "chunked_matches_inmemory",
             "matches_dense_reference",
             "window_bound_ok",
+            "chain_matches_dense_reference",
         )
         if not result["ldops"][gate]
     ]

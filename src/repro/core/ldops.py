@@ -34,12 +34,13 @@ output), via the shared predicate :func:`r2_exceeds`:
 
     r^2 = (n c_ab - c_a c_b)^2 / (c_a (n - c_a) c_b (n - c_b))
 
-evaluated as an arbitrary-precision integer numerator/denominator pair,
-so results are bit-identical between chunked streaming and in-memory
-execution for every chunk size -- a property the tests pin down
-against a naive dense reference.  A site with zero variance
-(monomorphic) has an undefined r^2; it is treated as 0 (never prunes,
-never absorbs, never is absorbed), matching
+evaluated as an exact integer numerator/denominator pair.  Whole count
+blocks are decided at once by :func:`r2_exceeds_array`, which equals the
+scalar predicate element by element, so results are bit-identical
+between chunked streaming and in-memory execution for every chunk size
+-- a property the tests pin down against a naive dense reference.  A
+site with zero variance (monomorphic) has an undefined r^2; it is
+treated as 0 (never prunes, never absorbs, never is absorbed), matching
 :attr:`~repro.core.ld.LDResult.r_squared`.
 
 Rows of the streamed source are the *sites* being pruned/clumped
@@ -51,7 +52,7 @@ reads its entities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -82,6 +83,7 @@ __all__ = [
     "ld_clump",
     "ld_prune",
     "r2_exceeds",
+    "r2_exceeds_array",
 ]
 
 
@@ -114,6 +116,68 @@ def r2_exceeds(
         return False
     bound = threshold * den
     return num > bound if strict else num >= bound
+
+
+#: Below this many observations every term of the predicate fits int64:
+#: ``|n c_ab - c_a c_b| <= n^2 / 4``, so numerator and denominator are
+#: both at most ``n^4 / 16 < 2^60``.
+_INT64_MAX_OBS = 1 << 16
+
+
+def r2_exceeds_array(
+    c_ab: np.ndarray,
+    c_a: np.ndarray,
+    c_b: np.ndarray,
+    n_obs: int,
+    threshold: float,
+    strict: bool,
+) -> np.ndarray:
+    """Elementwise :func:`r2_exceeds` over broadcast count arrays.
+
+    Returns a boolean array equal, element by element, to the scalar
+    predicate.  The counts must be those of a real panel
+    (``0 <= c_ab <= min(c_a, c_b)``, ``c_a, c_b <= n_obs``), as every
+    bit-GEMM output is.
+
+    For ``n_obs < 2**16`` and a float threshold in ``[0, 1]`` the
+    numerator and denominator are formed in int64 (no overflow, see
+    :data:`_INT64_MAX_OBS`) and ``bound = threshold * float(den)`` is
+    rounded exactly as Python rounds ``threshold * den``.  Python then
+    compares the int numerator with the float bound exactly; so does
+    this path, in int64 only: ``num > floor(bound)`` for ``strict`` and
+    ``num >= ceil(bound)`` otherwise.  Any other input falls back to
+    exact Python integers.
+    """
+    c_ab, c_a, c_b = np.broadcast_arrays(c_ab, c_a, c_b)
+    if not (
+        n_obs < _INT64_MAX_OBS
+        and isinstance(threshold, float)
+        and 0.0 <= threshold <= 1.0
+    ):
+        scalar = np.frompyfunc(
+            lambda ab, a, b: r2_exceeds(
+                int(ab), int(a), int(b), n_obs, threshold, strict
+            ),
+            3, 1,
+        )
+        return np.asarray(scalar(c_ab, c_a, c_b), dtype=bool)
+    n = np.int64(n_obs)
+    c_ab = c_ab.astype(np.int64, copy=False)
+    c_a = c_a.astype(np.int64, copy=False)
+    c_b = c_b.astype(np.int64, copy=False)
+    num = n * c_ab - c_a * c_b
+    num *= num
+    den = c_a * (n - c_a)
+    den *= c_b
+    den *= n - c_b
+    bound = den.astype(np.float64)
+    bound *= threshold
+    if strict:
+        hit = num > np.floor(bound).astype(np.int64)
+    else:
+        hit = num >= np.ceil(bound).astype(np.int64)
+    hit &= den != 0
+    return hit
 
 
 def _check_site_chunk(name: str, chunk: np.ndarray, n_sites: int | None) -> np.ndarray:
@@ -151,6 +215,29 @@ def _check_params(name: str, window: int, r2: float) -> None:
         raise DatasetError(f"{name}: r2 threshold must be in [0, 1], got {r2}")
 
 
+@dataclass
+class _ChunkHits:
+    """Exact r^2 decisions for every in-window pair one chunk adds.
+
+    ``rect[p, j]`` decides buffered row ``p`` against chunk row ``j``
+    (only the first ``window - 1`` chunk rows are reachable from the
+    buffer); ``band[j, e]`` decides chunk row ``j - width + e`` against
+    chunk row ``j``.  Both are False outside the window.
+    """
+
+    #: Global index of each buffered row (ascending).
+    buffered: np.ndarray
+    #: First in-window buffered row for each reachable chunk row.
+    starts: np.ndarray
+    rect: np.ndarray
+    band: np.ndarray
+    width: int
+    #: Allele count of each chunk row.
+    counts: np.ndarray
+    #: Number of in-window pairs the blocks cover.
+    in_window: int
+
+
 class _WindowGram:
     """Shared block-row machinery: buffered window sites + count blocks.
 
@@ -168,64 +255,91 @@ class _WindowGram:
         self.framework = framework
         #: Buffered site vectors (rows) still inside some future window.
         self._rows: np.ndarray | None = None
-        #: Global site index of each buffered row.
-        self._indices: list[int] = []
+        #: Global site index of each buffered row (ascending).
+        self._indices = np.empty(0, dtype=np.int64)
         #: Per-site allele count of each buffered row.
-        self._counts: list[int] = []
+        self._counts = np.empty(0, dtype=np.int64)
         self.n_obs: int | None = None
         self.next_site = 0
         self.simulated_seconds = 0.0
 
-    def blocks(
-        self, chunk: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray, list[int], list[int], list[int]]:
-        """Count blocks + bookkeeping for one new chunk of site rows.
+    def hits(self, chunk: np.ndarray, threshold: float, strict: bool) -> _ChunkHits:
+        """Count blocks for one new chunk, decided by :func:`r2_exceeds_array`.
 
-        Returns ``(rect, diag, buf_indices, buf_counts, chunk_counts)``
-        where ``rect`` is the ``(buffered, chunk)`` joint-count block
-        (``None`` when the buffer is empty), ``diag`` the chunk's
-        self-comparison block, and the lists give global indices and
-        allele counts aligned with the block axes.
+        The predicate runs on the in-window band of the diagonal block
+        and the first ``window - 1`` columns of the rectangle only, so
+        transient memory is O(chunk rows x window).
         """
+        assert self.n_obs is not None
         rect: np.ndarray | None = None
+        rect_s = 0.0
         if self._rows is not None and len(self._indices):
             rect, report = self.framework.run(self._rows, chunk)
-            self.simulated_seconds += report.end_to_end_s
+            rect_s = report.end_to_end_s
         diag, report = self.framework.run(chunk)
+        # Accumulate only once both runs returned: a retried chunk
+        # re-runs both.
+        self.simulated_seconds += rect_s
         self.simulated_seconds += report.end_to_end_s
-        chunk_counts = [int(c) for c in chunk.sum(axis=1)]
-        return rect, diag, list(self._indices), list(self._counts), chunk_counts
+        counts = chunk.sum(axis=1, dtype=np.int64)
+        n_rows = chunk.shape[0]
+        n_buf = len(self._indices)
+        # Buffered rows lie in [next_site - window + 1, next_site), so
+        # they reach only the first window - 1 chunk rows.
+        reach = min(n_rows, self.window - 1)
+        starts = np.searchsorted(
+            self._indices, self.next_site + np.arange(reach) - self.window + 1
+        )
+        rect_in = np.arange(n_buf)[:, None] >= starts
+        if rect is None:
+            rect_hit = rect_in
+        else:
+            rect_hit = r2_exceeds_array(
+                rect[:, :reach], self._counts[:, None], counts[:reach],
+                self.n_obs, threshold, strict,
+            )
+            rect_hit &= rect_in
+        width = min(n_rows - 1, self.window - 1)
+        local = np.arange(n_rows)[:, None]
+        other = local - width + np.arange(width)
+        band_in = other >= 0
+        np.maximum(other, 0, out=other)
+        band_hit = r2_exceeds_array(
+            diag[other, local], counts[other], counts[:, None],
+            self.n_obs, threshold, strict,
+        )
+        band_hit &= band_in
+        return _ChunkHits(
+            buffered=self._indices,
+            starts=starts,
+            rect=rect_hit,
+            band=band_hit,
+            width=width,
+            counts=counts,
+            in_window=int(rect_in.sum()) + int(band_in.sum()),
+        )
 
-    def retain(
-        self, chunk: np.ndarray, keep_local: list[int], base: int
+    def advance(
+        self, chunk: np.ndarray, counts: np.ndarray, keep_local: list[int]
     ) -> None:
-        """Append the chunk rows worth buffering and evict stale ones.
+        """Move past the chunk: buffer its useful rows, evict stale ones.
 
         ``keep_local`` lists the chunk-local rows that future sites may
         still need (kept sites for the pruner, every site for the
         clumper).  Rows whose global index has fallen out of the next
         site's window are dropped.
         """
-        if keep_local:
-            fresh = chunk[keep_local]
-            if self._rows is None or not len(self._indices):
-                self._rows = np.array(fresh, copy=True)
-            else:
-                self._rows = np.concatenate([self._rows, fresh], axis=0)
-            counts = chunk.sum(axis=1)
-            for local in keep_local:
-                self._indices.append(base + local)
-                self._counts.append(int(counts[local]))
-        # The next site to arrive is ``self.next_site``; it can only
-        # pair with indices >= next_site - window + 1.
+        base = self.next_site
+        self.next_site = base + chunk.shape[0]
+        # The next site to arrive can only pair with indices >= horizon.
         horizon = self.next_site - self.window + 1
-        alive = [i for i, g in enumerate(self._indices) if g >= horizon]
-        if len(alive) != len(self._indices):
-            rows = self._rows
-            assert rows is not None
-            self._rows = np.array(rows[alive], copy=True) if alive else None
-            self._indices = [self._indices[i] for i in alive]
-            self._counts = [self._counts[i] for i in alive]
+        keep = np.asarray(keep_local, dtype=np.int64)
+        keep = keep[base + keep >= horizon]
+        alive = self._indices >= horizon
+        old_rows = chunk[:0] if self._rows is None else self._rows[alive]
+        self._rows = np.concatenate([old_rows, chunk[keep]])
+        self._indices = np.concatenate([self._indices[alive], base + keep])
+        self._counts = np.concatenate([self._counts[alive], counts[keep]])
 
 
 @dataclass
@@ -327,48 +441,56 @@ class LDPruner:
             )
         if self._gram.n_obs is None:
             self._gram.n_obs = int(arr.shape[1])
-        n_obs = self._gram.n_obs
         base = self._gram.next_site
-        rect, diag, buf_idx, buf_counts, chunk_counts = self._gram.blocks(arr)
-        # Kept sites of the trailing window: (global index, allele
-        # count, where to find the joint count against a chunk row).
-        window_kept: list[tuple[int, int, bool, int]] = [
-            (g, c, True, i) for i, (g, c) in enumerate(zip(buf_idx, buf_counts))
-        ]
+        hits = self._gram.hits(arr, self.r2, strict=True)
+        n_rows = arr.shape[0]
+        n_buf = len(hits.buffered)
+        width = hits.width
+        # A row with no hit against any in-window site is kept outright.
+        hit_any = hits.band.any(axis=1)
+        hit_any[: hits.rect.shape[1]] |= hits.rect.any(axis=0)
+        maybe_blocked = hit_any.tolist()
+        starts = hits.starts.tolist()
+        # kept_ext[width + j] marks chunk row j kept; the slice
+        # kept_ext[local : local + width] lines up with hits.band[local].
+        kept_ext = np.zeros(width + n_rows, dtype=bool)
+        # kept_before[j]: kept chunk rows below row j.
+        kept_before = [0]
         keep_local: list[int] = []
-        for local in range(arr.shape[0]):
-            g = base + local
-            horizon = g - self.window + 1
-            window_kept = [item for item in window_kept if item[0] >= horizon]
+        for local in range(n_rows):
+            buf_window = n_buf - starts[local] if local < len(starts) else 0
+            chunk_window = kept_before[local] - kept_before[max(0, local - width)]
+            tested = buf_window + chunk_window
             blocked_by = -1
-            for other_g, other_count, in_buf, pos in window_kept:
-                if in_buf:
-                    assert rect is not None
-                    joint = int(rect[pos, local])
+            if maybe_blocked[local]:
+                # Test kept window sites in index order: buffered rows
+                # (all kept) first, then this chunk's kept rows.
+                buf_hit = hits.rect[starts[local]:, local] if buf_window else None
+                if buf_hit is not None and buf_hit.any():
+                    first = int(buf_hit.argmax())
+                    blocked_by = int(hits.buffered[starts[local] + first])
+                    tested = first + 1
                 else:
-                    joint = int(diag[pos, local])
-                self.pairs_tested += 1
-                if r2_exceeds(
-                    joint, other_count, chunk_counts[local], n_obs,
-                    self.r2, strict=True,
-                ):
-                    blocked_by = other_g
-                    break
+                    cand = np.flatnonzero(kept_ext[local : local + width])
+                    chunk_hit = hits.band[local, cand]
+                    if chunk_hit.any():
+                        first = int(chunk_hit.argmax())
+                        blocked_by = base + local - width + int(cand[first])
+                        tested = buf_window + first + 1
+            self.pairs_tested += tested
+            g = base + local
             if blocked_by >= 0:
                 self._pruned.append(g)
                 self._blocker.append(blocked_by)
-                self.peak_window_sites = max(
-                    self.peak_window_sites, len(window_kept)
-                )
+                window_sites = buf_window + chunk_window
             else:
                 self._kept.append(g)
                 keep_local.append(local)
-                window_kept.append((g, chunk_counts[local], False, local))
-                self.peak_window_sites = max(
-                    self.peak_window_sites, len(window_kept)
-                )
-        self._gram.next_site = base + arr.shape[0]
-        self._gram.retain(arr, keep_local, base)
+                kept_ext[width + local] = True
+                window_sites = buf_window + chunk_window + 1
+            kept_before.append(kept_before[local] + (blocked_by < 0))
+            self.peak_window_sites = max(self.peak_window_sites, window_sites)
+        self._gram.advance(arr, hits.counts, keep_local)
 
     def finalize(self) -> PruneResult:
         """Close the stream and return the result (idempotent counters)."""
@@ -427,15 +549,6 @@ class ClumpResult:
         return np.array([c.index_site for c in self.clumps], dtype=np.int64)
 
 
-@dataclass
-class _PendingSite:
-    """A site whose index/absorbed status is not yet decided."""
-
-    site: int
-    #: Above-threshold window neighbors, global indices (both sides).
-    edges: list[int] = field(default_factory=list)
-
-
 class LDClumper:
     """Streaming index-variant clumping (PLINK ``--clump`` style).
 
@@ -450,10 +563,12 @@ class LDClumper:
     The recursion on rank is resolved incrementally: a site's status is
     settled as soon as all its window neighbors have arrived and every
     better-ranked above-threshold neighbor is itself settled, so in
-    well-mixed panels pending state stays near the window size.  Only
-    above-threshold edges are remembered per pending site; the site
-    *vectors* and count blocks stay bounded by the window as in
-    :class:`LDPruner`.
+    well-mixed panels pending state stays near the window size.  Each
+    complete pending site counts its unsettled better-ranked neighbors;
+    settling a site decrements its dependents' counts, so resolution
+    costs O(edges) in total.  Only above-threshold edges are remembered
+    per pending site; the site *vectors* and count blocks stay bounded
+    by the window as in :class:`LDPruner`.
     """
 
     def __init__(
@@ -485,7 +600,17 @@ class LDClumper:
             backend=backend, executor=executor,
         )
         self._gram = _WindowGram(window, self.framework)
-        self._pending: dict[int, _PendingSite] = {}
+        #: Rank position of each site: ``(-score, site)`` order.
+        order = np.lexsort((np.arange(score_arr.shape[0]), -score_arr))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        self._rank: list[int] = rank.tolist()
+        #: Pending site -> above-threshold window neighbors (both sides).
+        self._edges: dict[int, list[int]] = {}
+        #: Complete pending site -> unsettled better-ranked neighbors.
+        self._waiting: dict[int, int] = {}
+        #: Sites below this index are complete (every neighbor arrived).
+        self._complete = 0
         #: site -> absorbing index variant (== site for index variants).
         self._assignment: dict[int, int] = {}
         self.pairs_tested = 0
@@ -495,9 +620,6 @@ class LDClumper:
     @property
     def sites_seen(self) -> int:
         return self._gram.next_site
-
-    def _rank(self, site: int) -> tuple[float, int]:
-        return (-float(self.scores[site]), site)
 
     def add_chunk(self, chunk: np.ndarray) -> None:
         """Fold one block of site rows into the pending clump state."""
@@ -520,46 +642,24 @@ class LDClumper:
             )
         if self._gram.n_obs is None:
             self._gram.n_obs = int(arr.shape[1])
-        n_obs = self._gram.n_obs
-        rect, diag, buf_idx, buf_counts, chunk_counts = self._gram.blocks(arr)
-        for local in range(arr.shape[0]):
-            g = base + local
-            pending = _PendingSite(site=g)
-            horizon = g - self.window + 1
-            # Earlier neighbors still in the window: buffered rows plus
-            # this chunk's own earlier rows (counts from the diagonal
-            # self-comparison block).
-            for pos, (other_g, other_count) in enumerate(
-                zip(buf_idx, buf_counts)
-            ):
-                if other_g < horizon:
-                    continue
-                assert rect is not None
-                self.pairs_tested += 1
-                if r2_exceeds(
-                    int(rect[pos, local]), other_count, chunk_counts[local],
-                    n_obs, self.r2, strict=False,
-                ):
-                    pending.edges.append(other_g)
-                    other = self._pending.get(other_g)
-                    if other is not None:
-                        other.edges.append(g)
-            for other_local in range(max(0, horizon - base), local):
-                other_g = base + other_local
-                self.pairs_tested += 1
-                if r2_exceeds(
-                    int(diag[other_local, local]), chunk_counts[other_local],
-                    chunk_counts[local], n_obs, self.r2, strict=False,
-                ):
-                    pending.edges.append(other_g)
-                    other = self._pending.get(other_g)
-                    if other is not None:
-                        other.edges.append(g)
-            self._pending[g] = pending
-        self._gram.next_site = base + arr.shape[0]
-        window_rows = min(self._gram.next_site, self.window)
+        hits = self._gram.hits(arr, self.r2, strict=False)
+        self.pairs_tested += hits.in_window
+        for g in range(base, base + arr.shape[0]):
+            self._edges[g] = []
+        pos, local = np.nonzero(hits.rect)
+        band_local, band_e = np.nonzero(hits.band)
+        earlier = np.concatenate([
+            hits.buffered[pos], base + band_local - hits.width + band_e
+        ])
+        later = np.concatenate([base + local, base + band_local])
+        # Both ends are pending: a site settles only once its whole
+        # window has arrived, and these pairs are in the newest window.
+        for a, b in zip(earlier.tolist(), later.tolist()):
+            self._edges[a].append(b)
+            self._edges[b].append(a)
+        window_rows = min(base + arr.shape[0], self.window)
         self.peak_window_sites = max(self.peak_window_sites, window_rows)
-        self._gram.retain(arr, list(range(arr.shape[0])), base)
+        self._gram.advance(arr, hits.counts, list(range(arr.shape[0])))
         self._resolve(complete_before=self._gram.next_site - self.window + 1)
 
     def _resolve(self, complete_before: int) -> None:
@@ -572,34 +672,39 @@ class LDClumper:
         absorbed by the best-ranked settled *index* neighbor, or
         becomes an index variant itself.
         """
-        progressed = True
-        while progressed:
-            progressed = False
-            for g in sorted(self._pending):
-                if g >= complete_before:
-                    continue
-                pending = self._pending[g]
-                my_rank = self._rank(g)
-                better = [
-                    e for e in pending.edges if self._rank(e) < my_rank
-                ]
-                if any(e not in self._assignment for e in better):
-                    continue
-                absorbers = [
-                    e for e in better if self._assignment[e] == e
-                ]
-                if absorbers:
-                    self._assignment[g] = min(absorbers, key=self._rank)
-                else:
-                    self._assignment[g] = g
-                del self._pending[g]
-                progressed = True
+        rank = self._rank
+        ready: list[int] = []
+        for g in range(self._complete, complete_before):
+            waiting = sum(
+                1 for e in self._edges[g]
+                if rank[e] < rank[g] and e not in self._assignment
+            )
+            self._waiting[g] = waiting
+            if not waiting:
+                ready.append(g)
+        self._complete = max(self._complete, complete_before)
+        while ready:
+            g = ready.pop()
+            edges = self._edges.pop(g)
+            del self._waiting[g]
+            absorbers = [
+                e for e in edges
+                if rank[e] < rank[g] and self._assignment[e] == e
+            ]
+            self._assignment[g] = (
+                min(absorbers, key=rank.__getitem__) if absorbers else g
+            )
+            for d in edges:
+                if rank[g] < rank[d] and d in self._waiting:
+                    self._waiting[d] -= 1
+                    if not self._waiting[d]:
+                        ready.append(d)
 
     def finalize(self) -> ClumpResult:
         """Close the stream, settle every site, return the result."""
         if not self._finalized:
             self._resolve(complete_before=self._gram.next_site)
-            assert not self._pending, "clump resolution did not converge"
+            assert not self._edges, "clump resolution did not converge"
             self._finalized = True
             counters = get_tracer().counters
             n = self._gram.next_site
@@ -619,7 +724,8 @@ class LDClumper:
             if a != g:
                 members.setdefault(a, []).append(g)
         index_sites = sorted(
-            (g for g in range(n) if int(assignment[g]) == g), key=self._rank
+            (g for g in range(n) if int(assignment[g]) == g),
+            key=self._rank.__getitem__,
         )
         clumps = [
             Clump(index_site=g, members=tuple(members.get(g, [])))

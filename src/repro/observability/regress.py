@@ -374,6 +374,7 @@ def _flatten_ldops(data: dict[str, Any], prefix: str) -> list[Metric]:
         "chunked_matches_inmemory",
         "matches_dense_reference",
         "window_bound_ok",
+        "chain_matches_dense_reference",
     ):
         metrics.append(
             Metric(f"{prefix}:{name}", float(bool(ldops[name])), KIND_EXACT)

@@ -17,6 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import Algorithm
+from repro.core.framework import SNPComparisonFramework
 from repro.core.ld import LDResult, linkage_disequilibrium
 from repro.core.ldops import (
     LDClumper,
@@ -24,12 +26,14 @@ from repro.core.ldops import (
     ld_clump,
     ld_prune,
     r2_exceeds,
+    r2_exceeds_array,
 )
 from repro.core.mixture import mixture_analysis
 from repro.core.profiles import RunReport
-from repro.errors import DatasetError
+from repro.errors import AllocationError, DatasetError
 from repro.io_stream import write_snpbin
 from repro.observability.tracer import Tracer, set_tracer
+from repro.resilience import RetryPolicy, resilient
 
 
 @pytest.fixture
@@ -59,14 +63,19 @@ def _dense_counts(sites):
 
 
 def _dense_prune(sites, window, r2):
-    """Brute-force greedy pruning over the full dense count matrix."""
+    """Brute-force greedy pruning over the full dense count matrix.
+
+    Returns ``(kept, pruned, blocker, pairs_tested, peak_window_sites)``
+    with the scan statistics counted pair by pair.
+    """
     joint, counts, n_obs = _dense_counts(sites)
     kept, pruned, blocker = [], [], []
+    pairs_tested = peak = 0
     for i in range(sites.shape[0]):
         hit = -1
-        for j in kept:
-            if i - j > window - 1:
-                continue
+        in_window = [j for j in kept if i - j <= window - 1]
+        for j in in_window:
+            pairs_tested += 1
             if r2_exceeds(
                 int(joint[i, j]), counts[j], counts[i], n_obs, r2, strict=True
             ):
@@ -75,9 +84,11 @@ def _dense_prune(sites, window, r2):
         if hit >= 0:
             pruned.append(i)
             blocker.append(hit)
+            peak = max(peak, len(in_window))
         else:
             kept.append(i)
-    return kept, pruned, blocker
+            peak = max(peak, len(in_window) + 1)
+    return kept, pruned, blocker, pairs_tested, peak
 
 
 def _dense_clump(sites, scores, window, r2):
@@ -149,6 +160,77 @@ def test_r2_exceeds_monomorphic_is_false():
     assert not r2_exceeds(0, 0, 3, 5, 0.0, strict=False)  # c_a == 0
 
 
+#: Small panels, the int64 path's worst case just below 2**16, and the
+#: exact-Python-integer fallback at and above it.
+_ARRAY_N_OBS = [1, 2, 3, 2**16 - 1, 2**16, 70_000]
+
+
+@st.composite
+def _feasible_counts(draw, n):
+    """``(c_ab, c_a, c_b)`` of some real pair of sites over ``n`` observations."""
+    count = st.one_of(st.sampled_from([0, n, n // 2]), st.integers(0, n))
+    c_a, c_b = draw(count), draw(count)
+    c_ab = draw(st.integers(max(0, c_a + c_b - n), min(c_a, c_b)))
+    return c_ab, c_a, c_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.sampled_from(_ARRAY_N_OBS), strict=st.booleans())
+def test_r2_exceeds_array_matches_scalar(data, n, strict):
+    triples = data.draw(st.lists(_feasible_counts(n), min_size=1, max_size=12))
+    tie_ab, tie_a, tie_b = triples[0]
+    den = tie_a * (n - tie_a) * tie_b * (n - tie_b)
+    near_tie = (n * tie_ab - tie_a * tie_b) ** 2 / den if den else 0.5
+    threshold = data.draw(
+        st.sampled_from([0.0, 1.0, 0.2, 0.25, 0.5, near_tie])
+        | st.floats(0.0, 1.0)
+    )
+    c_ab, c_a, c_b = (np.array(col, dtype=np.int64) for col in zip(*triples))
+    got = r2_exceeds_array(c_ab, c_a, c_b, n, threshold, strict)
+    want = [r2_exceeds(ab, a, b, n, threshold, strict) for ab, a, b in triples]
+    assert got.dtype == np.bool_
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "c_ab, c_a, c_b, n, threshold",
+    [
+        (3, 4, 4, 8, 0.25),  # r^2 == 0.25 exactly
+        (1, 4, 4, 8, 0.25),
+        (2, 4, 4, 8, 0.0),  # r^2 == 0 exactly
+        (5, 5, 5, 9, 1.0),  # r^2 == 1 exactly
+        # r^2 == 1 with den near 2**60: threshold * den rounds.
+        (2**15 - 1, 2**15 - 1, 2**15 - 1, 2**16 - 1, 1.0),
+        (2**15, 2**15, 2**15, 2**16 - 1, 1.0),
+        (2**15, 2**15, 2**15, 2**16, 1.0),  # fallback path
+    ],
+)
+def test_r2_exceeds_array_exact_ties(c_ab, c_a, c_b, n, threshold):
+    for strict in (True, False):
+        got = r2_exceeds_array(
+            np.array([c_ab]), np.array([c_a]), np.array([c_b]), n,
+            threshold, strict,
+        )
+        assert got.tolist() == [r2_exceeds(c_ab, c_a, c_b, n, threshold, strict)]
+
+
+def test_r2_exceeds_array_broadcasts():
+    rng = np.random.default_rng(3)
+    n = 50
+    c_a = rng.integers(0, n + 1, size=(6, 1))
+    c_b = rng.integers(0, n + 1, size=7)
+    c_ab = (np.minimum(c_a, c_b) + np.maximum(c_a + c_b - n, 0)) // 2
+    for threshold in (0.0, 0.1, 1.0):
+        got = r2_exceeds_array(c_ab, c_a, c_b, n, threshold, strict=False)
+        assert got.shape == (6, 7)
+        for i in range(6):
+            for j in range(7):
+                assert got[i, j] == r2_exceeds(
+                    int(c_ab[i, j]), int(c_a[i, 0]), int(c_b[j]), n,
+                    threshold, strict=False,
+                )
+
+
 # ---------------------------------------------------------------------------
 # pruning: chunked == in-memory == dense reference
 # ---------------------------------------------------------------------------
@@ -168,29 +250,37 @@ def test_prune_chunked_matches_dense_reference(
 ):
     sites = _correlated_panel(n_sites, n_obs, seed=seed)
     result = ld_prune(sites, window, r2, chunk_rows=chunk_rows, workers=1)
-    kept, pruned, blocker = _dense_prune(sites, window, r2)
+    kept, pruned, blocker, pairs_tested, peak = _dense_prune(sites, window, r2)
     assert result.kept.tolist() == kept
     assert result.pruned.tolist() == pruned
     assert result.blocker.tolist() == blocker
     assert result.n_sites == n_sites
-    assert result.peak_window_sites <= window
+    assert result.pairs_tested == pairs_tested
+    assert result.peak_window_sites == peak <= window
+
+
+def _edge_chunk_sizes(window, n_sites, drawn):
+    """Chunk sizes around the window edge, one past the panel, and ``drawn``."""
+    return sorted({1, max(1, window - 1), window, window + 1, n_sites + 1, drawn})
 
 
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
+    window=st.sampled_from([1, 2, 8]),
     chunk_rows=st.integers(1, 40),
 )
-def test_prune_chunking_invariant(seed, chunk_rows):
+def test_prune_chunking_invariant(seed, window, chunk_rows):
     sites = _correlated_panel(30, 24, seed=seed)
-    whole = ld_prune(sites, window=8, r2=0.3, chunk_rows=64, workers=1)
-    split = ld_prune(sites, window=8, r2=0.3, chunk_rows=chunk_rows, workers=1)
-    assert np.array_equal(whole.kept, split.kept)
-    assert np.array_equal(whole.pruned, split.pruned)
-    assert np.array_equal(whole.blocker, split.blocker)
-    # The scan statistics are chunk-invariant too, not just the output.
-    assert whole.pairs_tested == split.pairs_tested
-    assert whole.peak_window_sites == split.peak_window_sites
+    whole = ld_prune(sites, window=window, r2=0.3, chunk_rows=64, workers=1)
+    for rows in _edge_chunk_sizes(window, 30, chunk_rows):
+        split = ld_prune(sites, window=window, r2=0.3, chunk_rows=rows, workers=1)
+        assert np.array_equal(whole.kept, split.kept)
+        assert np.array_equal(whole.pruned, split.pruned)
+        assert np.array_equal(whole.blocker, split.blocker)
+        # The scan statistics are chunk-invariant too, not just the output.
+        assert whole.pairs_tested == split.pairs_tested
+        assert whole.peak_window_sites == split.peak_window_sites
 
 
 def test_prune_incremental_operator_matches_driver(tracer):
@@ -257,6 +347,48 @@ def test_clump_tie_break_by_site_order_chunk_invariant(chunk_rows):
     assert all(result.assignment[m] < m for m in absorbed)
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    window=st.sampled_from([1, 2, 8]),
+    chunk_rows=st.integers(1, 40),
+)
+def test_clump_chunking_invariant(seed, window, chunk_rows):
+    n_sites = 30
+    sites = _correlated_panel(n_sites, 24, seed=seed, copy_every=2)
+    scores = np.random.default_rng(seed).integers(0, 3, n_sites).astype(float)
+    assignment, index_sites = _dense_clump(sites, scores, window, 0.3)
+    # Every in-window pair is tested once; the window fills up to size.
+    pairs_tested = sum(min(i, window - 1) for i in range(n_sites))
+    for rows in _edge_chunk_sizes(window, n_sites, chunk_rows):
+        result = ld_clump(
+            sites, scores, window, 0.3, chunk_rows=rows, workers=1
+        )
+        assert result.assignment.tolist() == assignment.tolist()
+        assert result.index_sites.tolist() == index_sites
+        assert [c.members for c in result.clumps] == [
+            tuple(np.flatnonzero((assignment == g) & (np.arange(n_sites) != g)))
+            for g in index_sites
+        ]
+        assert result.pairs_tested == pairs_tested
+        assert result.peak_window_sites == min(n_sites, window)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 1024])
+def test_clump_rising_score_chain_matches_dense_reference(chunk_rows):
+    # Scores rise with site index: no site settles before the stream
+    # ends, so resolution must be linear in the edges, not quadratic.
+    with warnings.catch_warnings():
+        # The bench module's own pytest marks register in its conftest.
+        warnings.simplefilter("ignore", pytest.PytestUnknownMarkWarning)
+        from benchmarks.bench_ldops import dense_clump_reference, make_chain_panel
+
+    sites, scores = make_chain_panel(2000, 64)
+    result = ld_clump(sites, scores, 50, 0.5, chunk_rows=chunk_rows, workers=1)
+    expected = dense_clump_reference(sites, scores, 50, 0.5)
+    assert result.assignment.tolist() == expected.tolist()
+
+
 def test_clump_members_are_exhaustive():
     sites = _correlated_panel(20, 30, seed=5, copy_every=2)
     scores = np.random.default_rng(5).random(20)
@@ -296,6 +428,49 @@ def test_clump_counters_exact(tracer):
     assert counters["ldops.sites_absorbed"] == 24 - n_clumps
     assert counters["ldops.pairs_tested"] == result.pairs_tested
     assert counters["ldops.window_peak_sites"] == result.peak_window_sites
+
+
+class _FailNthRun:
+    """Delegating framework whose ``fail_on``-th run() raises once."""
+
+    def __init__(self, inner, fail_on):
+        self._inner = inner
+        self._fail_on = fail_on
+        self._calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def run(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls == self._fail_on:
+            raise AllocationError("injected transient allocation fault")
+        return self._inner.run(*args, **kwargs)
+
+
+@pytest.mark.parametrize("operator", ["prune", "clump"])
+def test_retried_chunk_counts_simulated_time_once(operator):
+    sites = _correlated_panel(600, 256, seed=4)
+    scores = np.random.default_rng(4).random(600)
+
+    def run(framework):
+        if operator == "prune":
+            return ld_prune(sites, 100, 0.2, chunk_rows=200, framework=framework)
+        return ld_clump(
+            sites, scores, 100, 0.2, chunk_rows=200, framework=framework
+        )
+
+    clean = run(SNPComparisonFramework("Titan V", Algorithm.LD, workers=1))
+    policy = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+    with resilient(policy=policy):
+        # Run 3 is the second chunk's diagonal block, launched after its
+        # rectangle against the buffered rows already returned.
+        retried = run(_FailNthRun(
+            SNPComparisonFramework("Titan V", Algorithm.LD, workers=1),
+            fail_on=3,
+        ))
+    assert retried.simulated_seconds == clean.simulated_seconds
+    assert retried.pairs_tested == clean.pairs_tested
 
 
 def test_finalize_counters_emitted_once(tracer):

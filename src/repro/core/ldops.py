@@ -73,6 +73,7 @@ from repro.observability.counters import (
     LDOPS_WINDOW_PEAK_SITES,
 )
 from repro.observability.tracer import get_tracer
+from repro.util.validation import check_binary_matrix
 
 __all__ = [
     "Clump",
@@ -182,24 +183,7 @@ def r2_exceeds_array(
 
 def _check_site_chunk(name: str, chunk: np.ndarray, n_sites: int | None) -> np.ndarray:
     """Validate one site-major chunk (rows = sites, columns = samples)."""
-    arr = np.ascontiguousarray(chunk)
-    if arr.ndim != 2:
-        raise DatasetError(
-            f"{name}: expected a 2-D site-major binary chunk, got "
-            f"{arr.ndim}-D shape {arr.shape}"
-        )
-    if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
-        raise DatasetError(
-            f"{name}: chunk has dtype {arr.dtype}; binary matrices must "
-            f"use an integer or bool dtype"
-        )
-    if arr.size:
-        lo, hi = int(arr.min()), int(arr.max())
-        if lo < 0 or hi > 1:
-            raise DatasetError(
-                f"{name}: chunk contains non-binary values "
-                f"(min={lo}, max={hi}); entries must be 0 or 1"
-            )
+    arr = np.ascontiguousarray(check_binary_matrix(f"{name}: chunk", chunk))
     if n_sites is not None and arr.shape[1] != n_sites:
         raise DatasetError(
             f"{name}: chunk has {arr.shape[1]} observation columns, "

@@ -33,9 +33,7 @@ equivalence tests pin down.  See ``docs/STREAMING.md``.
 
 from __future__ import annotations
 
-import heapq
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -46,18 +44,17 @@ from repro.core.framework import SNPComparisonFramework
 from repro.core.ld import LDResult
 from repro.core.mixture import MixtureResult
 from repro.core.profiles import RunReport
+from repro.core.topk import BestK, Match, check_k
 from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
 from repro.io_stream.prefetch import ChunkStream, StreamStats
 from repro.io_stream.sources import ChunkSource, as_chunk_source, materialize_source
-from repro.observability.counters import (
-    STREAM_CHUNK_RETRIES,
-    STREAM_PREFILTER_FALLBACKS,
-)
+from repro.observability.counters import STREAM_CHUNK_RETRIES
 from repro.observability.tracer import get_tracer
 from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import call_with_retry
 from repro.resilience.runtime import get_resilience
+from repro.util.validation import check_binary_matrix
 
 __all__ = [
     "Match",
@@ -65,36 +62,6 @@ __all__ = [
     "StreamingLD",
     "StreamingMixture",
 ]
-
-
-def _check_binary_matrix(name: str, data: np.ndarray) -> np.ndarray:
-    """Validate one binary operand; returns the checked array.
-
-    Rejects wrong rank, non-integer dtypes and non-binary values with
-    messages precise enough to locate the bad feed, *before* any
-    search state is mutated.
-    """
-    arr = np.asarray(data)
-    if arr.ndim != 2:
-        raise DatasetError(
-            f"{name} must be a 2-D binary matrix, got {arr.ndim}-D "
-            f"shape {arr.shape}"
-        )
-    if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
-        raise DatasetError(
-            f"{name} has dtype {arr.dtype}; binary matrices must use an "
-            f"integer or bool dtype"
-        )
-    if arr.size:
-        # One pass each: min()/max() walk the whole chunk, and this
-        # runs on every streamed chunk's hot validation path.
-        lo, hi = int(arr.min()), int(arr.max())
-        if lo < 0 or hi > 1:
-            raise DatasetError(
-                f"{name} contains non-binary values "
-                f"(min={lo}, max={hi}); entries must be 0 or 1"
-            )
-    return arr
 
 
 def _run_chunk(fn: Callable[[], Any]) -> Any:
@@ -153,34 +120,6 @@ def _merged_report(
     return merged
 
 
-@dataclass(frozen=True, order=True)
-class Match:
-    """One candidate: ordered by distance, then database index."""
-
-    distance: int
-    database_index: int
-
-
-@dataclass
-class _QueryState:
-    """Max-heap of the current best-k (stored negated for heapq)."""
-
-    k: int
-    heap: list[tuple[int, int]] = field(default_factory=list)  # (-dist, -idx)
-
-    def offer(self, distance: int, index: int) -> None:
-        item = (-distance, -index)
-        if len(self.heap) < self.k:
-            heapq.heappush(self.heap, item)
-        elif item > self.heap[0]:
-            heapq.heapreplace(self.heap, item)
-
-    def matches(self) -> list[Match]:
-        out = [Match(distance=-d, database_index=-i) for d, i in self.heap]
-        out.sort()
-        return out
-
-
 class StreamingIdentitySearch:
     """Incremental FastID search against a database fed in batches.
 
@@ -189,21 +128,13 @@ class StreamingIdentitySearch:
     queries:
         Binary ``(n_queries, n_sites)`` matrix, fixed for the session.
     k:
-        Candidates retained per query; at most :data:`MAX_K`.  The
-        top-k fold relies on a vectorized pre-filter (only rows that
-        could enter a full heap are visited in Python); a ``k`` near
-        the database size keeps the heaps permanently unfilled and
-        degrades every batch to the unfiltered fold, so huge values
-        are rejected up front and unfiltered folds are surfaced
-        through the ``stream.prefilter_fallbacks`` counter.
+        Candidates retained per query, an integer in
+        ``[1, repro.core.topk.MAX_K]``.  :mod:`repro.core.topk` owns
+        the bound and the tie-breaking rule (first seen in database
+        order wins) shared with the identity service.
     device:
         Simulated device (or architecture) running each batch.
     """
-
-    #: Upper bound on ``k``: beyond this the per-query heaps stop being
-    #: "small working state" and callers should compute (and store) the
-    #: full distance table instead of a top-k stream.
-    MAX_K = 4096
 
     def __init__(
         self,
@@ -215,26 +146,18 @@ class StreamingIdentitySearch:
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
-        q = _check_binary_matrix("StreamingIdentitySearch: queries", queries)
+        q = check_binary_matrix("StreamingIdentitySearch: queries", queries)
         if q.shape[0] == 0:
             raise DatasetError(
                 "StreamingIdentitySearch: queries must be a non-empty 2-D matrix"
             )
-        if k <= 0:
-            raise DatasetError("StreamingIdentitySearch: k must be positive")
-        if k > self.MAX_K:
-            raise DatasetError(
-                f"StreamingIdentitySearch: k={k} exceeds the supported "
-                f"maximum {self.MAX_K}; retain fewer candidates or run "
-                f"identity_search for the full distance table"
-            )
+        self.k = check_k("StreamingIdentitySearch", k)
         self.queries = q
-        self.k = k
         self.framework = framework or SNPComparisonFramework(
             device, Algorithm.FASTID_IDENTITY, workers=workers,
             backend=backend, executor=executor,
         )
-        self._states = [_QueryState(k=k) for _ in range(q.shape[0])]
+        self._best = BestK(q.shape[0], self.k)
         self.rows_seen = 0
         self.batches_seen = 0
         self.simulated_seconds = 0.0
@@ -250,9 +173,9 @@ class StreamingIdentitySearch:
         The batch is validated up front -- shape, dtype and
         binary-ness -- so a malformed feed fails with a precise
         :class:`~repro.errors.DatasetError` *before* any state
-        (``rows_seen``, top-k heaps) is touched.
+        (``rows_seen``, the best-k arrays) is touched.
         """
-        batch = _check_binary_matrix("add_batch: batch", profiles)
+        batch = check_binary_matrix("add_batch: batch", profiles)
         if batch.shape[1] != self.queries.shape[1]:
             raise DatasetError(
                 f"add_batch: batch shape {batch.shape} incompatible with "
@@ -262,25 +185,7 @@ class StreamingIdentitySearch:
             return
         distances, report = self.framework.run(self.queries, batch)
         self.simulated_seconds += report.end_to_end_s
-        base = self.rows_seen
-        unfiltered = 0
-        for qi in range(self.n_queries):
-            row = distances[qi]
-            # Only candidates that could enter the heap matter; a
-            # vectorized pre-filter keeps the Python loop short.  An
-            # unfilled heap (k not yet reached) admits every row -- a
-            # full fold, surfaced through the fallback counter.
-            state = self._states[qi]
-            if len(state.heap) == state.k:
-                cutoff = -state.heap[0][0]
-                candidate_idx = np.nonzero(row <= cutoff)[0]
-            else:
-                candidate_idx = np.arange(row.size)
-                unfiltered += 1
-            for local in candidate_idx:
-                state.offer(int(row[local]), base + int(local))
-        if unfiltered:
-            get_tracer().counters.add(STREAM_PREFILTER_FALLBACKS, unfiltered)
+        self._best.fold(distances, self.rows_seen)
         self.rows_seen += batch.shape[0]
         self.batches_seen += 1
 
@@ -314,11 +219,11 @@ class StreamingIdentitySearch:
             raise DatasetError(
                 f"matches: query index {query_index} out of range"
             )
-        return self._states[query_index].matches()
+        return self._best.matches()[query_index]
 
     def all_matches(self) -> list[list[Match]]:
         """Best-k sets for every query."""
-        return [state.matches() for state in self._states]
+        return self._best.matches()
 
     def best(self, query_index: int) -> Match:
         """The single closest candidate for one query."""
@@ -451,7 +356,7 @@ class StreamingMixture:
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
-        m = _check_binary_matrix("StreamingMixture: mixtures", mixtures)
+        m = check_binary_matrix("StreamingMixture: mixtures", mixtures)
         if m.shape[0] == 0:
             raise DatasetError(
                 "StreamingMixture: mixtures must be a non-empty 2-D matrix"
@@ -476,7 +381,7 @@ class StreamingMixture:
 
     def add_batch(self, references: np.ndarray) -> None:
         """Score one chunk of reference profiles against the mixtures."""
-        batch = _check_binary_matrix("add_batch: references", references)
+        batch = check_binary_matrix("add_batch: references", references)
         if batch.shape[1] != self.mixtures.shape[1]:
             raise DatasetError(
                 f"add_batch: references shape {batch.shape} incompatible "

@@ -38,7 +38,6 @@ __all__ = [
     "STREAM_READ_SECONDS",
     "STREAM_PREFETCH_STALL_SECONDS",
     "STREAM_CHUNK_RETRIES",
-    "STREAM_PREFILTER_FALLBACKS",
     "FAULTS_INJECTED",
     "SHARD_RETRIES",
     "SHARDS_QUARANTINED",
@@ -107,9 +106,6 @@ STREAM_PREFETCH_STALL_SECONDS = "stream.prefetch_stall_s"
 #: Streaming chunks re-run after a retryable failure (the per-chunk
 #: rung of the resilience ladder).
 STREAM_CHUNK_RETRIES = "stream.chunk_retries"
-#: Streaming identity batches folded without the vectorized top-k
-#: pre-filter (heap not yet full, e.g. k close to the database size).
-STREAM_PREFILTER_FALLBACKS = "stream.prefilter_fallbacks"
 #: Simulated faults fired by the deterministic injector
 #: (:mod:`repro.resilience.faults`); 0 in production runs.
 FAULTS_INJECTED = "resilience.faults_injected"
@@ -204,7 +200,6 @@ COUNTER_CATALOGUE: dict[str, str] = {
     STREAM_READ_SECONDS: "host seconds reading/preparing chunks (producer)",
     STREAM_PREFETCH_STALL_SECONDS: "host seconds the consumer waited on chunks",
     STREAM_CHUNK_RETRIES: "streaming chunks re-run after retryable failures",
-    STREAM_PREFILTER_FALLBACKS: "identity batches folded without the top-k pre-filter",
     FAULTS_INJECTED: "simulated faults fired by the injector",
     SHARD_RETRIES: "shard executions re-queued after retryable failures",
     SHARDS_QUARANTINED: "shards recomputed on the serial reference path",

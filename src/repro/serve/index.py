@@ -42,28 +42,9 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.io_stream.format import PackedDatasetReader, write_snpbin
+from repro.util.validation import check_binary_matrix
 
 __all__ = ["Segment", "ProfileIndex"]
-
-
-def _check_profiles(name: str, data: np.ndarray) -> np.ndarray:
-    """Validate a binary profile matrix (mirrors the streaming checks)."""
-    arr = np.asarray(data)
-    if arr.ndim != 2:
-        raise DatasetError(
-            f"{name} must be a 2-D binary matrix, got {arr.ndim}-D shape {arr.shape}"
-        )
-    if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
-        raise DatasetError(
-            f"{name} has dtype {arr.dtype}; binary matrices must use an "
-            f"integer or bool dtype"
-        )
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise DatasetError(
-            f"{name} contains non-binary values "
-            f"(min={int(arr.min())}, max={int(arr.max())}); entries must be 0 or 1"
-        )
-    return arr
 
 
 class Segment:
@@ -224,7 +205,7 @@ class ProfileIndex:
         word_bits: int = 64,
     ) -> "ProfileIndex":
         """Shard a profile matrix into ``directory`` and open the index."""
-        arr = _check_profiles("ProfileIndex.build: profiles", profiles)
+        arr = check_binary_matrix("ProfileIndex.build: profiles", profiles)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         if shard_rows <= 0:
@@ -274,7 +255,7 @@ class ProfileIndex:
         later :meth:`snapshot` includes the new rows, so any query
         admitted afterwards is scored against them.
         """
-        arr = _check_profiles("ProfileIndex.append: profiles", profiles)
+        arr = check_binary_matrix("ProfileIndex.append: profiles", profiles)
         if arr.shape[1] != self.n_bits:
             raise DatasetError(
                 f"ProfileIndex.append: profiles cover {arr.shape[1]} sites, "

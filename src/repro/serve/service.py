@@ -8,8 +8,9 @@ Hamming distance, first-seen tie-breaking -- and it is bit-exact
 against that offline path by construction: distances come from the same
 :class:`~repro.core.framework.SNPComparisonFramework` (exact integer
 popcounts, so sharing a panel with other requests cannot change them)
-and the per-query fold reuses the streaming top-k heap, offered rows in
-the same global database order.
+and both fold them through :class:`repro.core.topk.BestK` in the same
+global database order -- :mod:`repro.core.topk` defines the
+tie-breaking rule and the bound on ``k`` in one place.
 
 What serving adds over the offline path:
 
@@ -42,11 +43,7 @@ import numpy as np
 from repro.core.config import Algorithm
 from repro.core.framework import SNPComparisonFramework
 from repro.core.packing import PackedOperand
-
-# The streaming fold is the bit-exactness oracle; reusing its heap type
-# (private by convention, stable within this codebase) keeps the
-# tie-breaking rule defined in exactly one place.
-from repro.core.streaming import Match, _check_binary_matrix, _QueryState
+from repro.core.topk import BestK, Match, check_k
 from repro.errors import (
     ConfigurationError,
     DatasetError,
@@ -73,7 +70,7 @@ from repro.serve.batcher import CoalescingBatcher
 from repro.serve.index import ProfileIndex, Segment
 from repro.serve.metrics import TenantLedger
 from repro.serve.overload import CircuitBreaker
-from repro.util.validation import check_workers
+from repro.util.validation import check_binary_matrix, check_workers
 
 __all__ = ["QueryRequest", "IdentityService"]
 
@@ -121,9 +118,6 @@ class IdentityService:
     window (see :mod:`repro.serve.batcher`).
     """
 
-    #: Upper bound on per-request ``k`` (matches the streaming bound).
-    MAX_K = 4096
-
     def __init__(
         self,
         index: ProfileIndex,
@@ -140,10 +134,7 @@ class IdentityService:
         max_inflight_rows: int | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
-        if k <= 0 or k > self.MAX_K:
-            raise DatasetError(
-                f"IdentityService: default k={k} out of range [1, {self.MAX_K}]"
-            )
+        self.default_k = check_k("IdentityService", k)
         if workers is not None:
             # Fail at service construction, not at the first query's
             # engine dispatch (shared validator, ConfigurationError
@@ -153,7 +144,6 @@ class IdentityService:
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from None
         self.index = index
-        self.default_k = k
         self.framework = framework or SNPComparisonFramework(
             device,
             Algorithm.FASTID_IDENTITY,
@@ -222,7 +212,7 @@ class IdentityService:
         tenant: str,
         deadline: Deadline | None = None,
     ) -> QueryRequest:
-        q = _check_binary_matrix("IdentityService: queries", queries)
+        q = check_binary_matrix("IdentityService: queries", queries)
         if q.shape[0] == 0:
             raise DatasetError(
                 "IdentityService: queries must be a non-empty 2-D matrix"
@@ -232,11 +222,7 @@ class IdentityService:
                 f"IdentityService: queries cover {q.shape[1]} sites, "
                 f"index is {self.index.n_bits} sites wide"
             )
-        kk = self.default_k if k is None else k
-        if kk <= 0 or kk > self.MAX_K:
-            raise DatasetError(
-                f"IdentityService: k={kk} out of range [1, {self.MAX_K}]"
-            )
+        kk = self.default_k if k is None else check_k("IdentityService", k)
         if not tenant:
             raise DatasetError("IdentityService: tenant must be non-empty")
         return QueryRequest(
@@ -369,9 +355,7 @@ class IdentityService:
             else requests[0].queries
         )
         q_op = self.framework.pack(stacked)
-        states = [
-            [_QueryState(k=r.k) for _ in range(r.n_queries)] for r in requests
-        ]
+        best = [BestK(r.n_queries, r.k) for r in requests]
         expired: dict[int, DeadlineExceededError] = {}
         for segment in snapshot:
             for ri, request in enumerate(requests):
@@ -392,27 +376,13 @@ class IdentityService:
             )
             row = 0
             for ri, request in enumerate(requests):
-                if ri in expired:
-                    row += request.n_queries
-                    continue
-                for qi in range(request.n_queries):
-                    distances = table[row]
-                    state = states[ri][qi]
-                    if len(state.heap) == state.k:
-                        cutoff = -state.heap[0][0]
-                        candidates = np.nonzero(distances <= cutoff)[0]
-                    else:
-                        candidates = np.arange(distances.size)
-                    for local in candidates:
-                        state.offer(
-                            int(distances[local]), segment.base + int(local)
-                        )
-                    row += 1
+                if ri not in expired:
+                    rows = table[row : row + request.n_queries]
+                    best[ri].fold(rows, segment.base)
+                row += request.n_queries
         return [
-            expired[ri]
-            if ri in expired
-            else [state.matches() for state in per_request]
-            for ri, per_request in enumerate(states)
+            expired[ri] if ri in expired else best[ri].matches()
+            for ri in range(len(requests))
         ]
 
     def _execute_batch(

@@ -4,6 +4,8 @@ Small, composable checks used at public-API boundaries.  Each raises
 :class:`ValueError`/:class:`TypeError` subclasses with messages that
 name the offending parameter, so configuration mistakes surface with
 actionable errors instead of downstream shape mismatches.
+:func:`check_binary_matrix` raises :class:`~repro.errors.DatasetError`
+(a :class:`ValueError`), since a malformed operand is bad data.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+
+from repro.errors import DatasetError
 
 __all__ = [
     "check_positive",
@@ -21,6 +25,7 @@ __all__ = [
     "check_dtype",
     "check_choice",
     "check_workers",
+    "check_binary_matrix",
 ]
 
 
@@ -101,3 +106,33 @@ def check_workers(
             else "a positive integer"
         raise ValueError(f"{name} must be {expect}, got {value}")
     return value
+
+
+def check_binary_matrix(name: str, data: object) -> np.ndarray:
+    """Validate one binary operand; returns the checked array.
+
+    Rejects wrong rank, non-integer dtypes and non-binary values with
+    messages precise enough to locate the bad feed, so callers can
+    check before they mutate any state.
+    """
+    arr = np.asarray(data)
+    if arr.ndim != 2:
+        raise DatasetError(
+            f"{name} must be a 2-D binary matrix, got {arr.ndim}-D "
+            f"shape {arr.shape}"
+        )
+    if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
+        raise DatasetError(
+            f"{name} has dtype {arr.dtype}; binary matrices must use an "
+            f"integer or bool dtype"
+        )
+    if arr.size:
+        # One pass each: min()/max() walk the whole matrix, and this
+        # runs on every streamed chunk's hot validation path.
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < 0 or hi > 1:
+            raise DatasetError(
+                f"{name} contains non-binary values "
+                f"(min={lo}, max={hi}); entries must be 0 or 1"
+            )
+    return arr

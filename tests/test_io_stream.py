@@ -23,6 +23,7 @@ from repro.core.streaming import (
     StreamingLD,
     StreamingMixture,
 )
+from repro.core.topk import BestK
 from repro.errors import AllocationError, DatasetError
 from repro.io_stream import (
     ArraySource,
@@ -386,6 +387,37 @@ QUERY_BITS = _random_bits(3, 96, seed=23)
 MIX_BITS = _random_bits(2, 96, seed=24)
 
 
+def lexsort_topk(distances, k):
+    """Reference best-k per query row: sort by (distance, index), keep k."""
+    return [
+        [(int(row[i]), int(i)) for i in np.lexsort((np.arange(row.size), row))[:k]]
+        for row in distances
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bestk_fold_matches_lexsort_reference(data):
+    """Any segment split folds to the k smallest (distance, index) pairs."""
+    n_queries = data.draw(st.integers(1, 4), label="n_queries")
+    n_rows = data.draw(st.integers(1, 150), label="n_rows")
+    k = data.draw(st.integers(1, n_rows + 10), label="k")
+    # 1-3 distinct distances: ties everywhere; 1000: mostly distinct.
+    alphabet = data.draw(st.sampled_from([1, 2, 3, 1000]), label="alphabet")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    distances = np.random.default_rng(seed).integers(
+        0, alphabet, size=(n_queries, n_rows)
+    )
+    best = BestK(n_queries, k)
+    base = 0
+    while base < n_rows:
+        size = data.draw(st.integers(1, n_rows + 5), label="segment")
+        best.fold(distances[:, base : base + size], base)
+        base += size
+    got = [[(m.distance, m.database_index) for m in row] for row in best.matches()]
+    assert got == lexsort_topk(distances, k)
+
+
 class TestChunkedEquivalence:
     """Chunked execution is bit-exact for any chunking (incl. 1 and > n)."""
 
@@ -408,17 +440,24 @@ class TestChunkedEquivalence:
         assert (result.scores == expected.scores).all()
         assert result.prenegated == expected.prenegated
 
-    @settings(max_examples=8, deadline=None)
-    @given(chunk_rows=st.integers(1, 80))
-    def test_identity_topk_bit_exact(self, chunk_rows):
-        k = 6
-        full = identity_search(QUERY_BITS, DB_BITS).distances
+    @settings(max_examples=20, deadline=None)
+    @given(
+        chunk_rows=st.integers(1, 80),
+        k=st.one_of(st.just(1), st.integers(2, 60), st.integers(61, 200)),
+        alphabet=st.one_of(st.none(), st.integers(1, 3)),
+    )
+    def test_identity_topk_bit_exact(self, chunk_rows, k, alphabet):
+        # ``alphabet`` rebuilds the database from 1-3 distinct rows, so
+        # every query sees at most that many distances: heavy ties that
+        # only the (distance, index) order can break.
+        db = DB_BITS if alphabet is None else DB_BITS[np.arange(60) % alphabet]
+        full = identity_search(QUERY_BITS, db).distances
         search = StreamingIdentitySearch(QUERY_BITS, k=k)
-        search.consume(DB_BITS, chunk_rows)
+        search.consume(db, chunk_rows)
+        expected = lexsort_topk(full, k)
         for qi in range(QUERY_BITS.shape[0]):
-            order = np.lexsort((np.arange(DB_BITS.shape[0]), full[qi]))[:k]
             got = [(m.distance, m.database_index) for m in search.matches(qi)]
-            assert got == [(int(full[qi, i]), int(i)) for i in order]
+            assert got == expected[qi]
 
     @settings(max_examples=6, deadline=None)
     @given(chunk_rows=st.integers(1, 40))

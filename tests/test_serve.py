@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.identity import identity_search
 from repro.core.streaming import StreamingIdentitySearch
 from repro.errors import ConfigurationError, DatasetError, ReproError
 from repro.observability.counters import (
@@ -316,6 +317,42 @@ class TestIdentityServiceExactness:
                 service.index.seal()
                 assert service.search(queries) == expected
 
+    def test_coalesced_mixed_k_across_shards_and_tail(self, tmp_path, tracer):
+        """One coalesced batch; every request keeps its own ``k``.
+
+        ``search_many`` takes one ``k`` for the whole burst, so the
+        batch is coalesced through the window instead.
+        """
+        db = make_db(40, duplicates=6)
+        extra = make_db(5, seed=71)
+        full = np.vstack([db, extra])
+        requests = [
+            (make_db(1, seed=72), 1),
+            (make_db(2, seed=73), 7),
+            (make_db(1, seed=74), full.shape[0] + 5),
+        ]
+        with make_service(
+            tmp_path, db, shard_rows=16, window_s=0.2, max_batch_rows=64
+        ) as service:
+            with service.index:
+                service.append(extra)  # stays in the unsealed tail
+                assert service.index.n_segments == 4  # 16 + 16 + 8 + tail
+                batches = tracer.counters.get(SERVE_BATCHES)
+                futures = [service.submit(q, k=k) for q, k in requests]
+                results = [f.result(timeout=30) for f in futures]
+        assert tracer.counters.get(SERVE_BATCHES) == batches + 1
+        assert tracer.counters.get(SERVE_COALESCED_BATCHES) == 1
+        for (queries, k), got in zip(requests, results):
+            distances = identity_search(queries, full).distances
+            expected = [
+                [(int(row[i]), int(i)) for i in np.lexsort((np.arange(row.size), row))[:k]]
+                for row in distances
+            ]
+            assert [
+                [(m.distance, m.database_index) for m in per_query]
+                for per_query in got
+            ] == expected
+
 
 class TestIdentityServiceAmortization:
     def test_coalesced_word_ops_at_most_0_6x_solo(self, tmp_path, tracer):
@@ -404,6 +441,19 @@ class TestIdentityServiceValidation:
                 with pytest.raises(DatasetError, match="tenant"):
                     service.search(make_db(1), tenant="")
 
+    @pytest.mark.parametrize("k", ["3", 2.5, True])
+    def test_rejects_non_integer_k(self, tmp_path, tracer, k):
+        with make_service(tmp_path, make_db(20)) as service:
+            with service.index:
+                with pytest.raises(DatasetError, match="k must be an integer"):
+                    service.search(make_db(1), k=k)
+                with pytest.raises(DatasetError, match="k must be an integer"):
+                    service.search_many([make_db(1)], k=k)
+                with pytest.raises(DatasetError, match="k must be an integer"):
+                    IdentityService(service.index, k=k)
+                # numpy integers are integers.
+                assert len(service.search(make_db(1), k=np.int64(3))[0]) == 3
+
     def test_rejects_bad_constructor_k(self, tmp_path):
         db = make_db(10)
         index = ProfileIndex.build(tmp_path, db, shard_rows=8)
@@ -483,6 +533,18 @@ class TestServer:
                         with pytest.raises(ReproError, match="unknown op"):
                             client._call({"op": "nope"})
                         assert client.ping()  # still alive
+
+    def test_wire_non_integer_k_is_dataset_error(self, tmp_path, tracer):
+        with make_service(tmp_path, make_db(20), window_s=0.01) as service:
+            with service.index:
+                with BackgroundServer(service) as (host, port):
+                    with ServiceClient(host, port) as client:
+                        for k in ("3", 2.5, True):
+                            with pytest.raises(
+                                ReproError, match=r"server error \(DatasetError\)"
+                            ):
+                                client.search(make_db(1), k=k)
+                        assert len(client.search(make_db(1), k=3)[0]) == 3
 
     def test_concurrent_clients_coalesce_and_match_oracle(
         self, tmp_path, tracer

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.identity import identity_search
 from repro.core.streaming import Match, StreamingIdentitySearch
+from repro.core.topk import MAX_K
 from repro.errors import DatasetError
 from repro.snp.forensic import generate_database, generate_queries
 from repro.snp.popstats import (
@@ -98,37 +99,22 @@ class TestStreamingSearch:
     def test_k_above_documented_maximum_rejected(self, workload):
         _, queries, _ = workload
         with pytest.raises(DatasetError, match="exceeds the supported maximum"):
-            StreamingIdentitySearch(
-                queries, k=StreamingIdentitySearch.MAX_K + 1
-            )
+            StreamingIdentitySearch(queries, k=MAX_K + 1)
         # The bound itself is fine.
-        StreamingIdentitySearch(queries, k=StreamingIdentitySearch.MAX_K)
+        StreamingIdentitySearch(queries, k=MAX_K)
 
-    def test_prefilter_fallback_surfaced_via_counter(self, workload):
-        from repro.observability.tracer import Tracer, set_tracer
+    @pytest.mark.parametrize("k", ["3", 2.5, True, None, np.float64(3.0)])
+    def test_non_integer_k_rejected(self, workload, k):
+        _, queries, _ = workload
+        with pytest.raises(DatasetError, match="k must be an integer"):
+            StreamingIdentitySearch(queries, k=k)
 
+    def test_numpy_integer_k_accepted(self, workload):
         db, queries, _ = workload
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            # k larger than every batch keeps the heaps unfilled, so
-            # each batch degrades to the unfiltered fold -- counted,
-            # not silent.
-            stream = StreamingIdentitySearch(queries, k=200)
-            stream.add_batch(db.profiles[:50])
-            stream.add_batch(db.profiles[50:100])
-            unfiltered = tracer.counters.snapshot()["stream.prefilter_fallbacks"]
-            assert unfiltered == 2 * queries.shape[0]
-            # Once the heaps are full, the pre-filter engages again.
-            before = unfiltered
-            stream2 = StreamingIdentitySearch(queries, k=3)
-            stream2.add_batch(db.profiles[:50])
-            stream2.add_batch(db.profiles[50:100])
-            after = tracer.counters.snapshot()["stream.prefilter_fallbacks"]
-            # Only the first (heap-filling) batch falls back.
-            assert after - before == queries.shape[0]
-        finally:
-            set_tracer(previous)
+        stream = StreamingIdentitySearch(queries, k=np.int32(3))
+        assert stream.k == 3 and type(stream.k) is int
+        stream.add_batch(db.profiles[:10])
+        assert len(stream.matches(0)) == 3
 
 
 class TestPopstats:

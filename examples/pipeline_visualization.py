@@ -22,6 +22,7 @@ from repro.gpu.arch import GTX_980
 from repro.gpu.device import Device
 from repro.gpu.kernel import SnpKernel
 from repro.gpu.tracing import write_chrome_trace
+from repro.parallel.engine import get_engine
 
 
 def build_queue(double_buffering: bool):
@@ -40,7 +41,8 @@ def build_queue(double_buffering: bool):
     )
     queue = Device(arch).create_context().create_queue()
     _, _, plan = run_pipeline(
-        queue, kernel, queries, database, double_buffering=double_buffering
+        queue, kernel, queries, database, double_buffering=double_buffering,
+        engine=get_engine(1),
     )
     return queue, plan
 

@@ -20,10 +20,11 @@ sensible default for the machine; see :mod:`repro.parallel`), plus
 backend computing every shard panel (``auto`` defers to
 ``REPRO_BACKEND``, the tuner's per-machine winner, then the size rule;
 see ``docs/KERNELS.md``),
-``--executor {auto,thread,process}`` to pick the shard executor tier
-(``process`` runs shards in worker processes over shared-memory
-operands; see ``docs/DISTRIBUTED.md``), and ``--no-gram`` to disable
-the symmetric Gram fast path (see ``docs/PERF.md``).
+and ``--executor {auto,thread,process}`` to pick the shard executor
+tier (``process`` runs shards in worker processes over shared-memory
+operands; see ``docs/DISTRIBUTED.md``).  Each command builds one
+framework from these flags and runs on it.  Self-comparisons take the
+symmetric Gram fast path automatically (see ``docs/PERF.md``).
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``--retries N`` retries
 transient faults up to N times with backoff, ``--verify-sample RATE``
@@ -77,6 +78,7 @@ from repro.kernels import backend_names
 from repro.observability.report import MetricsReport
 from repro.observability.trace_export import write_merged_trace
 from repro.observability.tracer import Tracer, set_tracer
+from repro.parallel import recommended_workers
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.runtime import ResilienceContext, resilient
 from repro.snp.io import (
@@ -168,24 +170,22 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_workers(args: argparse.Namespace) -> int | None:
-    """Map the --workers flag to an engine worker count.
+def _framework(
+    args: argparse.Namespace, algorithm: Algorithm
+) -> SNPComparisonFramework:
+    """The one framework a command runs on, built from its flags.
 
-    ``None`` (flag absent) keeps the serial path; ``0`` asks for the
-    machine default; any positive value is used as given.
+    ``--workers 0`` asks for the machine default; the framework
+    validates everything else.
     """
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        return None
-    try:
-        workers = check_workers("--workers", workers, zero_means_default=True)
-    except ValueError as exc:
-        raise ReproError(str(exc)) from None
-    if workers == 0:
-        from repro.parallel import recommended_workers
-
-        return recommended_workers()
-    return workers
+    workers = check_workers("--workers", args.workers, zero_means_default=True)
+    return SNPComparisonFramework(
+        args.device,
+        algorithm,
+        workers=workers or recommended_workers(),
+        backend=args.backend,
+        executor=args.executor,
+    )
 
 
 def _observability_requested(args: argparse.Namespace) -> bool:
@@ -264,29 +264,10 @@ def _emit_resilience(report: RunReport) -> None:
     print(render_kv(rows, title="resilience"))
 
 
-def _observed_framework(
-    args: argparse.Namespace,
-    tracer: Tracer | None,
-    algorithm: Algorithm,
-) -> SNPComparisonFramework | None:
-    """Pre-build the framework when tracing, so the command can reach
-    ``last_queue`` for the merged trace export afterwards."""
-    if tracer is None:
-        return None
-    return SNPComparisonFramework(
-        args.device,
-        algorithm,
-        workers=_resolve_workers(args),
-        gram=not getattr(args, "no_gram", False),
-        backend=getattr(args, "backend", "auto"),
-        executor=getattr(args, "executor", "auto"),
-    )
-
-
 def _emit_observability(
     args: argparse.Namespace,
     tracer: Tracer | None,
-    framework: SNPComparisonFramework | None,
+    framework: SNPComparisonFramework,
     report: RunReport,
 ) -> None:
     """Print the metrics block and/or write the merged Chrome trace."""
@@ -295,11 +276,17 @@ def _emit_observability(
     if getattr(args, "metrics", False) and report.metrics is not None:
         print()
         print(report.metrics)
+    _write_trace(args, tracer, framework)
+
+
+def _write_trace(
+    args: argparse.Namespace, tracer: Tracer, framework: SNPComparisonFramework
+) -> None:
+    """Write the merged Chrome trace when ``--trace`` asks for it."""
     trace_path = getattr(args, "trace", None)
     if trace_path:
-        queues = []
-        if framework is not None and framework.last_queue is not None:
-            queues.append(framework.last_queue)
+        queue = framework.last_queue
+        queues = [] if queue is None else [queue]
         n_events = write_merged_trace(trace_path, tracer, queues)
         print(f"\nwrote {n_events} trace events to {trace_path}")
 
@@ -319,7 +306,7 @@ def _emit_stream_stats(stats: StreamStats) -> None:
 def _emit_streaming_observability(
     args: argparse.Namespace,
     tracer: Tracer | None,
-    framework: SNPComparisonFramework | None,
+    framework: SNPComparisonFramework,
 ) -> None:
     """Streaming counterpart of :func:`_emit_observability`.
 
@@ -332,13 +319,7 @@ def _emit_streaming_observability(
     if getattr(args, "metrics", False):
         print()
         print(MetricsReport.from_tracer(tracer))
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        queues = []
-        if framework is not None and framework.last_queue is not None:
-            queues.append(framework.last_queue)
-        n_events = write_merged_trace(trace_path, tracer, queues)
-        print(f"\nwrote {n_events} trace events to {trace_path}")
+    _write_trace(args, tracer, framework)
 
 
 def _cmd_ld(args: argparse.Namespace) -> int:
@@ -351,30 +332,16 @@ def _cmd_ld(args: argparse.Namespace) -> int:
         )
     matrix = None if streaming else _load_matrix(args.input)
     with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.LD)
+        framework = _framework(args, Algorithm.LD)
         stats: StreamStats | None = None
         if streaming:
-            streamer = StreamingLD(
-                device=args.device,
-                workers=_resolve_workers(args),
-                gram=not args.no_gram,
-                backend=args.backend,
-                executor=args.executor,
-                framework=framework,
-            )
+            streamer = StreamingLD(framework=framework)
             with open_source(args.input) as source:
                 result = streamer.run(source, args.chunk_rows)
             stats = streamer.last_stats
         else:
             result = linkage_disequilibrium(
-                matrix,
-                device=args.device,
-                compare=args.compare,
-                framework=framework,
-                workers=_resolve_workers(args),
-                gram=not args.no_gram,
-                backend=args.backend,
-                executor=args.executor,
+                matrix, compare=args.compare, framework=framework
             )
         stat = {
             "r2": result.r_squared, "d": result.d, "dprime": result.d_prime
@@ -430,7 +397,7 @@ def _ldops_source(args: argparse.Namespace) -> np.ndarray | str:
 def _emit_ldops_footer(
     args: argparse.Namespace,
     tracer: Tracer | None,
-    framework: SNPComparisonFramework | None,
+    framework: SNPComparisonFramework,
     stats: StreamStats | None,
 ) -> None:
     if stats is not None:
@@ -441,17 +408,12 @@ def _emit_ldops_footer(
 def _cmd_ld_prune(args: argparse.Namespace) -> int:
     """Windowed greedy LD pruning over a streamed site-major input."""
     with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.LD)
+        framework = _framework(args, Algorithm.LD)
         result = ld_prune(
             _ldops_source(args),
             window=args.window,
             r2=args.r2,
             chunk_rows=args.chunk_rows or 4096,
-            device=args.device,
-            workers=_resolve_workers(args),
-            gram=not args.no_gram,
-            backend=args.backend,
-            executor=args.executor,
             framework=framework,
         )
         print(render_kv([
@@ -477,18 +439,13 @@ def _cmd_clump(args: argparse.Namespace) -> int:
     """Index-variant clumping over a streamed site-major input."""
     scores = _load_scores(args.scores)
     with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.LD)
+        framework = _framework(args, Algorithm.LD)
         result = ld_clump(
             _ldops_source(args),
             scores,
             window=args.window,
             r2=args.r2,
             chunk_rows=args.chunk_rows or 4096,
-            device=args.device,
-            workers=_resolve_workers(args),
-            gram=not args.no_gram,
-            backend=args.backend,
-            executor=args.executor,
             framework=framework,
         )
         n_absorbed = int((result.assignment != np.arange(result.n_sites)).sum())
@@ -531,15 +488,9 @@ def _cmd_identity_streaming(args: argparse.Namespace) -> int:
     """Out-of-core identity: stream the database, retain top-k."""
     queries = _load_matrix(args.queries)
     with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.FASTID_IDENTITY)
+        framework = _framework(args, Algorithm.FASTID_IDENTITY)
         search = StreamingIdentitySearch(
-            queries,
-            k=args.top_k,
-            device=args.device,
-            workers=_resolve_workers(args),
-            backend=args.backend,
-            executor=args.executor,
-            framework=framework,
+            queries, k=args.top_k, framework=framework
         )
         with open_source(args.database) as source:
             stats = search.consume(source, args.chunk_rows)
@@ -581,17 +532,8 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     queries = _load_matrix(args.queries)
     database = _load_matrix(args.database)
     with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.FASTID_IDENTITY)
-        result = identity_search(
-            queries,
-            database,
-            device=args.device,
-            framework=framework,
-            workers=_resolve_workers(args),
-            gram=not args.no_gram,
-            backend=args.backend,
-            executor=args.executor,
-        )
+        framework = _framework(args, Algorithm.FASTID_IDENTITY)
+        result = identity_search(queries, database, framework=framework)
         hits = result.matches(args.max_distance)
         print(render_kv([
             ("queries", queries.shape[0]),
@@ -638,12 +580,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = IdentityService(
             index,
             k=args.top_k,
-            device=args.device,
-            workers=_resolve_workers(args),
-            backend=args.backend,
-            executor=args.executor,
             window_s=args.window_ms / 1e3,
             max_batch_rows=args.max_batch_rows,
+            framework=_framework(args, Algorithm.FASTID_IDENTITY),
         )
         with service, index:
             print(render_kv([
@@ -689,32 +628,16 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
     references = None if streaming else _load_matrix(args.references)
     mixture = _load_matrix(args.mixture)
     with _observability(args) as tracer, _resilience_scope(args):
-        framework = _observed_framework(args, tracer, Algorithm.FASTID_MIXTURE)
+        framework = _framework(args, Algorithm.FASTID_MIXTURE)
         stats: StreamStats | None = None
         if streaming:
-            streamer = StreamingMixture(
-                mixture,
-                device=args.device,
-                workers=_resolve_workers(args),
-                backend=args.backend,
-                executor=args.executor,
-                framework=framework,
-            )
+            streamer = StreamingMixture(mixture, framework=framework)
             with open_source(args.references) as source:
                 stats = streamer.consume(source, args.chunk_rows)
             result = streamer.result()
             n_references = streamer.rows_seen
         else:
-            result = mixture_analysis(
-                references,
-                mixture,
-                device=args.device,
-                framework=framework,
-                workers=_resolve_workers(args),
-                gram=not args.no_gram,
-                backend=args.backend,
-                executor=args.executor,
-            )
+            result = mixture_analysis(references, mixture, framework=framework)
             n_references = references.shape[0]
         print(render_kv([
             ("references", n_references),
@@ -777,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune.set_defaults(func=_cmd_tune)
 
     workers_help = (
-        "host threads for the functional compute "
-        "(0 = machine default, omit = serial)"
+        "host workers for the functional compute "
+        "(0 = machine default, default 1 = serial)"
     )
     trace_help = (
         "write a merged Chrome trace (host spans + simulated device "
@@ -794,10 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shard executor tier: thread pool, worker processes over "
         "shared-memory operands, or auto (tuner-raced winner; see "
         "docs/DISTRIBUTED.md)"
-    )
-    no_gram_help = (
-        "disable the symmetric Gram fast path (compute the full table "
-        "even for self-comparisons)"
     )
 
     def add_observability_flags(cmd: argparse.ArgumentParser) -> None:
@@ -824,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_compute_flags(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--workers", type=int, default=None, help=workers_help)
+        cmd.add_argument("--workers", type=int, default=1, help=workers_help)
         cmd.add_argument(
             "--backend", default="auto",
             choices=["auto", *backend_names()], help=backend_help,
@@ -833,7 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--executor", default="auto",
             choices=["auto", "thread", "process"], help=executor_help,
         )
-        cmd.add_argument("--no-gram", action="store_true", help=no_gram_help)
         cmd.add_argument(
             "--retries", type=int, default=0, metavar="N", help=retries_help
         )

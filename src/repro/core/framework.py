@@ -33,14 +33,14 @@ from repro.errors import ConfigurationError
 from repro.gpu.arch import GPUArchitecture, get_gpu
 from repro.gpu.device import CommandQueue, Context, Device
 from repro.gpu.kernel import SnpKernel
-from repro.kernels import get_backend
 from repro.observability.counters import SIM_DEVICE_SECONDS
 from repro.observability.report import MetricsReport
 from repro.observability.tracer import get_tracer
+from repro.parallel.engine import get_engine
 from repro.resilience.report import ResilienceReport
 from repro.resilience.runtime import get_resilience
 
-__all__ = ["SNPComparisonFramework"]
+__all__ = ["SNPComparisonFramework", "framework_for"]
 
 
 class SNPComparisonFramework:
@@ -66,21 +66,28 @@ class SNPComparisonFramework:
         Overlap transfers with compute (the paper's default); disable
         for the ablation comparison.
     workers:
-        Host threads for the functional compute.  ``workers > 1``
+        Host workers for the functional compute.  ``workers > 1``
         shards each kernel launch across the process-wide pool
         (:mod:`repro.parallel`); results stay bit-exact and the
-        simulated device timing is unchanged.  Default (``None``)
-        keeps the serial functional path.
-    gram:
-        Allow Gram mode: single-tile self-comparisons with a symmetric
-        op compute only the upper triangle and mirror the rest (see
-        ``docs/PERF.md``).  ``False`` forces the full-output path
-        (useful for benchmarking the symmetry win).
+        simulated device timing is unchanged.  Default ``1`` computes
+        each launch as one inline shard.
     backend:
         Kernel-ABI backend (:mod:`repro.kernels`) for the functional
         tables: ``"auto"`` (``REPRO_BACKEND`` env, then the tuner's
         per-machine winner, then the size rule) or an explicit
         registered name such as ``"numpy"``, ``"blas"`` or ``"numba"``.
+    executor:
+        Shard executor: ``"auto"``, ``"thread"`` or ``"process"``
+        (:mod:`repro.parallel.procpool`).
+
+    ``workers``, ``backend`` and ``executor`` resolve once, at
+    construction, to :attr:`engine` -- the process-wide
+    :class:`~repro.parallel.engine.ParallelEngine` for that triple,
+    whose constructor rejects bad values with
+    :class:`~repro.errors.ConfigurationError`.  Every launch runs on
+    it.  Gram mode needs no option: single-tile self-comparisons with
+    a symmetric op compute only the upper triangle (see
+    ``docs/PERF.md``).
     """
 
     def __init__(
@@ -90,23 +97,15 @@ class SNPComparisonFramework:
         config: KernelConfig | None = None,
         prenegate: bool | None = None,
         double_buffering: bool = True,
-        workers: int | None = None,
-        gram: bool = True,
+        workers: int = 1,
         backend: str = "auto",
         executor: str = "auto",
     ) -> None:
         self.arch = get_gpu(device) if isinstance(device, str) else device
-        self.algorithm = (
-            Algorithm(algorithm) if isinstance(algorithm, str) else algorithm
-        )
+        self.algorithm = Algorithm(algorithm)
         self.prenegate = prenegate
         self.double_buffering = double_buffering
-        self.workers = workers
-        self.gram = gram
-        if backend != "auto":
-            get_backend(backend)  # unknown names fail at construction
-        self.backend = backend
-        self.executor = executor
+        self.engine = get_engine(workers, backend, executor)
         self.config = config or derive_config(
             self.arch, self.algorithm, prenegate=prenegate
         )
@@ -223,10 +222,7 @@ class SNPComparisonFramework:
                 a,
                 b,
                 double_buffering=self.double_buffering,
-                workers=self.workers,
-                symmetric=None if self.gram else False,
-                backend=self.backend,
-                executor=self.executor,
+                engine=self.engine,
             )
             end_to_end = queue.finish()
             busy = queue.busy_summary()
@@ -282,15 +278,48 @@ class SNPComparisonFramework:
         return self._cpu_model.execution_time(m, n, k_bits)
 
     def __repr__(self) -> str:
-        workers = f", workers={self.workers}" if self.workers else ""
-        gram = "" if self.gram else ", gram=False"
-        backend = "" if self.backend == "auto" else f", backend={self.backend!r}"
+        engine = self.engine
+        workers = "" if engine.workers == 1 else f", workers={engine.workers}"
+        backend = "" if engine.backend == "auto" else f", backend={engine.backend!r}"
         executor = (
-            "" if self.executor == "auto" else f", executor={self.executor!r}"
+            "" if engine.executor == "auto" else f", executor={engine.executor!r}"
         )
         return (
             f"SNPComparisonFramework(device={self.arch.name!r}, "
             f"algorithm={self.algorithm.value!r}, op={self.config.op.value!r}, "
             f"grid={self.config.grid_rows}x{self.config.grid_cols}"
-            f"{workers}{gram}{backend}{executor})"
+            f"{workers}{backend}{executor})"
         )
+
+
+def framework_for(
+    caller: str,
+    framework: SNPComparisonFramework | None,
+    device: str | GPUArchitecture,
+    algorithm: Algorithm,
+    *,
+    prenegate: bool | None = None,
+    workers: int = 1,
+    backend: str = "auto",
+    executor: str = "auto",
+) -> SNPComparisonFramework:
+    """The framework an application entry point runs on.
+
+    A supplied ``framework`` is used as is -- its device, options and
+    engine win over the other arguments -- once its algorithm is
+    checked: a framework compiled for another comparison returns
+    well-formed but wrong tables, so a mismatch raises
+    :class:`~repro.errors.ConfigurationError` naming ``caller``.
+    Otherwise one is built from the arguments.
+    """
+    if framework is None:
+        return SNPComparisonFramework(
+            device, algorithm, prenegate=prenegate, workers=workers,
+            backend=backend, executor=executor,
+        )
+    if framework.algorithm is not algorithm:
+        raise ConfigurationError(
+            f"{caller}: framework runs {framework.algorithm.value!r}, "
+            f"this needs {algorithm.value!r}"
+        )
+    return framework

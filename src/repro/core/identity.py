@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import Algorithm
-from repro.core.framework import SNPComparisonFramework
+from repro.core.framework import SNPComparisonFramework, framework_for
 from repro.core.profiles import RunReport
 from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
@@ -63,8 +63,7 @@ def identity_search(
     database: ForensicDatabase | np.ndarray,
     device: str | GPUArchitecture = "Titan V",
     framework: SNPComparisonFramework | None = None,
-    workers: int | None = None,
-    gram: bool = True,
+    workers: int = 1,
     backend: str = "auto",
     executor: str = "auto",
 ) -> IdentityResult:
@@ -77,19 +76,16 @@ def identity_search(
     database:
         A :class:`~repro.snp.forensic.ForensicDatabase` or a raw binary
         matrix ``(n_profiles, n_sites)``.
-    workers:
-        Host threads for the functional compute (``> 1`` shards the
-        bit-GEMM).  Ignored when ``framework`` is supplied.
-    gram:
-        Allow the symmetric (Gram) fast path when queries *are* the
-        database (an all-pairs self-scan -- XOR is symmetric).
-        Ignored when ``framework`` is supplied.
-    backend:
-        Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
-        registered name.  Ignored when ``framework`` is supplied.
-    executor:
-        Host shard executor (``"auto"``/``"thread"``/``"process"``).
-        Ignored when ``framework`` is supplied.
+    framework:
+        Reuse an existing identity framework instance; one for another
+        algorithm raises :class:`~repro.errors.ConfigurationError`.
+    workers, backend, executor:
+        Host compute, as for
+        :class:`~repro.core.framework.SNPComparisonFramework`; a
+        supplied ``framework`` brings its own.
+
+    When the queries *are* the database (an all-pairs self-scan -- XOR
+    is symmetric), single-tile runs take the Gram path.
     """
     q = np.asarray(queries)
     db = database.profiles if isinstance(database, ForensicDatabase) else np.asarray(database)
@@ -100,11 +96,9 @@ def identity_search(
             f"identity_search: site counts differ "
             f"({q.shape[1]} vs {db.shape[1]})"
         )
-    if framework is None:
-        framework = SNPComparisonFramework(
-            device, Algorithm.FASTID_IDENTITY, workers=workers,
-            gram=gram, backend=backend,
-            executor=executor,
-        )
+    framework = framework_for(
+        "identity_search", framework, device, Algorithm.FASTID_IDENTITY,
+        workers=workers, backend=backend, executor=executor,
+    )
     distances, report = framework.run(q, db)
     return IdentityResult(distances=distances, report=report)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import Algorithm
-from repro.core.framework import SNPComparisonFramework
+from repro.core.framework import SNPComparisonFramework, framework_for
 from repro.core.profiles import RunReport
 from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
@@ -107,8 +107,7 @@ def linkage_disequilibrium(
     device: str | GPUArchitecture = "Titan V",
     compare: str = "sites",
     framework: SNPComparisonFramework | None = None,
-    workers: int | None = None,
-    gram: bool = True,
+    workers: int = 1,
     backend: str = "auto",
     executor: str = "auto",
 ) -> LDResult:
@@ -125,21 +124,16 @@ def linkage_disequilibrium(
         or ``"samples"`` (SNP-string comparison, the paper's benchmark
         orientation, computed across sites).
     framework:
-        Reuse an existing framework instance (skips re-derivation).
-    workers:
-        Host threads for the functional compute (``> 1`` shards the
-        bit-GEMM across the process-wide pool).  Ignored when
-        ``framework`` is supplied.
-    gram:
-        Allow the symmetric (Gram) fast path -- LD is a
-        self-comparison, so this roughly halves the computed word-ops.
-        Ignored when ``framework`` is supplied.
-    backend:
-        Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
-        registered name.  Ignored when ``framework`` is supplied.
-    executor:
-        Host shard executor (``"auto"``/``"thread"``/``"process"``).
-        Ignored when ``framework`` is supplied.
+        Reuse an existing LD framework instance (skips re-derivation);
+        one for another algorithm raises
+        :class:`~repro.errors.ConfigurationError`.
+    workers, backend, executor:
+        Host compute, as for
+        :class:`~repro.core.framework.SNPComparisonFramework`; a
+        supplied ``framework`` brings its own.
+
+    LD is a self-comparison, so single-tile runs take the symmetric
+    (Gram) path and compute roughly half the word-ops.
     """
     matrix = data.matrix if isinstance(data, SNPDataset) else np.asarray(data)
     if matrix.ndim != 2:
@@ -160,11 +154,10 @@ def linkage_disequilibrium(
             "linkage_disequilibrium: input has entities but zero "
             "observations; LD statistics are undefined"
         )
-    if framework is None:
-        framework = SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
-        )
+    framework = framework_for(
+        "linkage_disequilibrium", framework, device, Algorithm.LD,
+        workers=workers, backend=backend, executor=executor,
+    )
     counts, report = framework.run(entities)
     n_obs = entities.shape[1]
     frequencies = entities.mean(axis=1) if n_obs else np.zeros(entities.shape[0])

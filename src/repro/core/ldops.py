@@ -58,7 +58,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import Algorithm
-from repro.core.framework import SNPComparisonFramework
+from repro.core.framework import SNPComparisonFramework, framework_for
 from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
 from repro.io_stream.prefetch import ChunkStream, StreamStats
@@ -386,8 +386,7 @@ class LDPruner:
         window: int,
         r2: float,
         device: str | GPUArchitecture = "Titan V",
-        workers: int | None = None,
-        gram: bool = True,
+        workers: int = 1,
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -395,9 +394,9 @@ class LDPruner:
         _check_params("LDPruner", window, r2)
         self.window = window
         self.r2 = r2
-        self.framework = framework or SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
+        self.framework = framework_for(
+            "LDPruner", framework, device, Algorithm.LD,
+            workers=workers, backend=backend, executor=executor,
         )
         self._gram = _WindowGram(window, self.framework)
         self._kept: list[int] = []
@@ -561,8 +560,7 @@ class LDClumper:
         r2: float,
         scores: np.ndarray,
         device: str | GPUArchitecture = "Titan V",
-        workers: int | None = None,
-        gram: bool = True,
+        workers: int = 1,
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -579,9 +577,9 @@ class LDClumper:
         self.window = window
         self.r2 = r2
         self.scores = score_arr
-        self.framework = framework or SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
+        self.framework = framework_for(
+            "LDClumper", framework, device, Algorithm.LD,
+            workers=workers, backend=backend, executor=executor,
         )
         self._gram = _WindowGram(window, self.framework)
         #: Rank position of each site: ``(-score, site)`` order.
@@ -760,8 +758,7 @@ def ld_prune(
     chunk_rows: int = 4096,
     prefetch: bool = True,
     device: str | GPUArchitecture = "Titan V",
-    workers: int | None = None,
-    gram: bool = True,
+    workers: int = 1,
     backend: str = "auto",
     executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
@@ -774,9 +771,8 @@ def ld_prune(
     result (bit-identical kept sets for every ``chunk_rows``).
     """
     pruner = LDPruner(
-        window, r2, device=device, workers=workers, gram=gram,
-        backend=backend, executor=executor,
-        framework=framework,
+        window, r2, device=device, workers=workers, backend=backend,
+        executor=executor, framework=framework,
     )
     stats = _drive(pruner, source, chunk_rows, prefetch, "ld-prune")
     result = pruner.finalize()
@@ -792,8 +788,7 @@ def ld_clump(
     chunk_rows: int = 4096,
     prefetch: bool = True,
     device: str | GPUArchitecture = "Titan V",
-    workers: int | None = None,
-    gram: bool = True,
+    workers: int = 1,
     backend: str = "auto",
     executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
@@ -805,7 +800,7 @@ def ld_clump(
     as soon as a chunk overruns them, too many at finalize).
     """
     clumper = LDClumper(
-        window, r2, scores, device=device, workers=workers, gram=gram,
+        window, r2, scores, device=device, workers=workers,
         backend=backend, executor=executor, framework=framework,
     )
     stats = _drive(clumper, source, chunk_rows, prefetch, "clump")

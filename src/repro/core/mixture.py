@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import Algorithm
-from repro.core.framework import SNPComparisonFramework
+from repro.core.framework import SNPComparisonFramework, framework_for
 from repro.core.profiles import RunReport
 from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
@@ -82,8 +82,7 @@ def mixture_analysis(
     device: str | GPUArchitecture = "Titan V",
     prenegate: bool | None = None,
     framework: SNPComparisonFramework | None = None,
-    workers: int | None = None,
-    gram: bool = True,
+    workers: int = 1,
     backend: str = "auto",
     executor: str = "auto",
 ) -> MixtureResult:
@@ -98,21 +97,13 @@ def mixture_analysis(
         Binary matrix ``(n_mixtures, n_sites)`` of mixed profiles.
     prenegate:
         Force the pre-negated variant (None = device default).
-    workers:
-        Host threads for the functional compute (``> 1`` shards the
-        bit-GEMM).  Ignored when ``framework`` is supplied.
-    gram:
-        Accepted for API uniformity with the other applications;
-        mixture analysis compares *different* operand contents (the
-        ANDNOT kernel is asymmetric; the pre-negated variant packs the
-        right operand negated), so the Gram path can never engage.
-        Ignored when ``framework`` is supplied.
-    backend:
-        Kernel-ABI backend (:mod:`repro.kernels`): ``"auto"`` or a
-        registered name.  Ignored when ``framework`` is supplied.
-    executor:
-        Host shard executor (``"auto"``/``"thread"``/``"process"``).
-        Ignored when ``framework`` is supplied.
+    framework:
+        Reuse an existing mixture framework instance; one for another
+        algorithm raises :class:`~repro.errors.ConfigurationError`.
+    workers, backend, executor:
+        Host compute, as for
+        :class:`~repro.core.framework.SNPComparisonFramework`; a
+        supplied ``framework`` brings its own (and its ``prenegate``).
     """
     r = np.asarray(references)
     m = np.asarray(mixtures)
@@ -122,12 +113,11 @@ def mixture_analysis(
         raise DatasetError(
             f"mixture_analysis: site counts differ ({r.shape[1]} vs {m.shape[1]})"
         )
-    if framework is None:
-        framework = SNPComparisonFramework(
-            device, Algorithm.FASTID_MIXTURE, prenegate=prenegate,
-            workers=workers, gram=gram, backend=backend,
-            executor=executor,
-        )
+    framework = framework_for(
+        "mixture_analysis", framework, device, Algorithm.FASTID_MIXTURE,
+        prenegate=prenegate, workers=workers, backend=backend,
+        executor=executor,
+    )
     scores, report = framework.run(r, m)
     return MixtureResult(
         scores=scores,

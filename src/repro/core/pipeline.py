@@ -38,6 +38,7 @@ from repro.gpu.executor import KernelProfile
 from repro.gpu.kernel import SnpKernel
 from repro.gpu.event import Event
 from repro.observability.tracer import get_tracer
+from repro.parallel.engine import ParallelEngine
 from repro.resilience.retry import call_with_retry
 from repro.resilience.runtime import get_resilience
 
@@ -119,28 +120,22 @@ def run_pipeline(
     b: PackedOperand,
     plan: TilePlan | None = None,
     double_buffering: bool = True,
-    workers: int | None = None,
-    symmetric: bool | None = None,
-    backend: str = "auto",
-    executor: str = "auto",
+    *,
+    engine: ParallelEngine,
 ) -> tuple[np.ndarray, list[KernelProfile], TilePlan]:
     """Execute the tiled comparison; returns (raw table, profiles, plan).
 
     The returned table is *uncropped* (padded extents); callers crop
-    with :func:`repro.core.packing.crop_result`.  ``workers > 1``
-    computes each tile's functional table on the sharded host engine
-    (:mod:`repro.parallel`); simulated device timing is unchanged.
+    with :func:`repro.core.packing.crop_result`.  ``engine``
+    (:mod:`repro.parallel`) computes each tile's functional table;
+    simulated device timing does not depend on it.
 
-    ``symmetric=None`` auto-detects Gram mode: when both operands are
-    the same packed matrix, the op is symmetric, and the whole
-    database fits one tile (multi-tile launches compare *different*
-    row ranges, so per-tile outputs are not symmetric), the kernel is
-    launched with the Gram hint and computes only the upper triangle.
-    ``False`` disables the hint; ``True`` requires eligibility and
-    raises otherwise.  ``backend`` selects the kernel-ABI backend
-    (:mod:`repro.kernels`) and ``executor`` the shard executor (thread
-    pool or worker processes, :mod:`repro.parallel.procpool`) for each
-    tile's functional table.
+    Gram mode is decided from the operands and the tile plan: when both
+    operands are the same packed matrix, the op is symmetric, and the
+    whole database fits one tile (multi-tile launches compare
+    *different* row ranges, so per-tile outputs are not symmetric), the
+    kernel is launched with the Gram hint and the engine may compute
+    only the upper triangle.
     """
     context = queue.context
     arch = context.device.arch
@@ -152,19 +147,12 @@ def run_pipeline(
     if plan is None:
         plan = plan_tiles(context, kernel, a, b)
 
-    gram_eligible = (
+    symmetric = (
         kernel.op.is_symmetric
         and same_operand(a.words, b.words)
         and plan.n_tiles == 1
         and a.padded_rows == plan.n_total
     )
-    if symmetric is None:
-        symmetric = gram_eligible
-    elif symmetric and not gram_eligible:
-        raise ConfigurationError(
-            "run_pipeline: symmetric=True requires a single-tile "
-            "self-comparison with a symmetric op"
-        )
 
     word_bytes = arch.word_bytes
     m_padded = a.padded_rows
@@ -224,10 +212,8 @@ def run_pipeline(
                     c_bufs[slot],
                     wait_for=[a_event, write_ev],
                     label=f"kernel[{tile_idx}]",
-                    workers=workers,
+                    engine=engine,
                     symmetric=symmetric,
-                    backend=backend,
-                    executor=executor,
                 )
                 profiles.append(profile)
                 tile_out, read_ev = queue.enqueue_read_buffer(

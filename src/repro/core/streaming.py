@@ -40,7 +40,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.config import Algorithm
-from repro.core.framework import SNPComparisonFramework
+from repro.core.framework import SNPComparisonFramework, framework_for
 from repro.core.ld import LDResult
 from repro.core.mixture import MixtureResult
 from repro.core.profiles import RunReport
@@ -141,7 +141,7 @@ class StreamingIdentitySearch:
         queries: np.ndarray,
         k: int = 5,
         device: str | GPUArchitecture = "Titan V",
-        workers: int | None = None,
+        workers: int = 1,
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -153,9 +153,10 @@ class StreamingIdentitySearch:
             )
         self.k = check_k("StreamingIdentitySearch", k)
         self.queries = q
-        self.framework = framework or SNPComparisonFramework(
-            device, Algorithm.FASTID_IDENTITY, workers=workers,
-            backend=backend, executor=executor,
+        self.framework = framework_for(
+            "StreamingIdentitySearch", framework, device,
+            Algorithm.FASTID_IDENTITY,
+            workers=workers, backend=backend, executor=executor,
         )
         self._best = BestK(q.shape[0], self.k)
         self.rows_seen = 0
@@ -267,15 +268,14 @@ class StreamingLD:
     def __init__(
         self,
         device: str | GPUArchitecture = "Titan V",
-        workers: int | None = None,
-        gram: bool = True,
+        workers: int = 1,
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
-        self.framework = framework or SNPComparisonFramework(
-            device, Algorithm.LD, workers=workers, gram=gram,
-            backend=backend, executor=executor,
+        self.framework = framework_for(
+            "StreamingLD", framework, device, Algorithm.LD,
+            workers=workers, backend=backend, executor=executor,
         )
 
     def run(
@@ -351,7 +351,7 @@ class StreamingMixture:
         mixtures: np.ndarray,
         device: str | GPUArchitecture = "Titan V",
         prenegate: bool | None = None,
-        workers: int | None = None,
+        workers: int = 1,
         backend: str = "auto",
         executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
@@ -362,12 +362,9 @@ class StreamingMixture:
                 "StreamingMixture: mixtures must be a non-empty 2-D matrix"
             )
         self.mixtures = m
-        self.framework = framework or SNPComparisonFramework(
-            device,
-            Algorithm.FASTID_MIXTURE,
-            prenegate=prenegate,
-            workers=workers,
-            backend=backend,
+        self.framework = framework_for(
+            "StreamingMixture", framework, device, Algorithm.FASTID_MIXTURE,
+            prenegate=prenegate, workers=workers, backend=backend,
             executor=executor,
         )
         self._score_blocks: list[np.ndarray] = []

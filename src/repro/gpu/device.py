@@ -38,6 +38,7 @@ from repro.gpu.event import Event
 from repro.gpu.executor import KernelProfile, execute_kernel
 from repro.gpu.kernel import KernelArgs, SnpKernel
 from repro.gpu.memory import GlobalMemoryTracker
+from repro.parallel.engine import ParallelEngine
 from repro.gpu.transfer import D2H, H2D, TransferEngine
 from repro.util.timing import TimeLine
 
@@ -219,20 +220,18 @@ class CommandQueue:
         wait_for: Sequence[Event] | None = None,
         label: str = "",
         accumulate: bool = False,
-        workers: int | None = None,
+        *,
+        engine: ParallelEngine,
         symmetric: bool | None = None,
-        backend: str = "auto",
-        executor: str = "auto",
     ) -> tuple[Event, KernelProfile]:
         """Launch a comparison kernel reading ``a``/``b``, writing ``c``.
 
         With ``accumulate=True`` the result adds into ``c``'s current
         contents (the k-panel loop of problems tiled over the reduction
-        dimension); otherwise ``c`` is overwritten.  ``workers`` routes
-        the functional compute through the sharded host engine (the
-        simulated timing is unaffected -- it prices the device, not the
-        host).  ``symmetric``/``backend``/``executor`` are the Gram-mode
-        hint, kernel-ABI backend and shard executor forwarded to
+        dimension); otherwise ``c`` is overwritten.  ``engine`` computes
+        the functional table (the simulated timing is unaffected -- it
+        prices the device, not the host); it and the Gram-mode hint
+        ``symmetric`` are forwarded to
         :func:`~repro.gpu.executor.execute_kernel`.
         """
         if kernel.arch is not self.arch:
@@ -245,9 +244,7 @@ class CommandQueue:
         )
         earliest = self._earliest(wait_for)
         result, profile = execute_kernel(
-            kernel, a.data, b.data, args, workers=workers,
-            symmetric=symmetric, backend=backend,
-            executor=executor,
+            kernel, a.data, b.data, args, engine=engine, symmetric=symmetric
         )
         if accumulate:
             existing = c._data

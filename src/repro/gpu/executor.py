@@ -5,8 +5,8 @@
 * the **functional path** computes the exact comparison table through
   the one host compute path -- :class:`~repro.parallel.engine.ParallelEngine`
   (shard plan x registered backend panel x executor), partitioning the
-  kernel's own :class:`~repro.blis.blocking.BlockingPlan` when
-  ``workers > 1``;
+  kernel's own :class:`~repro.blis.blocking.BlockingPlan` when the
+  engine has ``workers > 1``;
 * the **timing path** prices the launch with the analytical cycle
   model (:mod:`repro.gpu.cycles`).
 
@@ -25,7 +25,7 @@ from repro.gpu.cycles import CycleBreakdown, kernel_cycles
 from repro.gpu.kernel import KernelArgs, SnpKernel
 from repro.observability.counters import KERNEL_LAUNCHES, KERNEL_RETRIES
 from repro.observability.tracer import get_tracer
-from repro.parallel.engine import ParallelReport, get_engine
+from repro.parallel.engine import ParallelEngine, ParallelReport
 from repro.resilience.retry import Disposition, classify
 from repro.resilience.runtime import get_resilience
 
@@ -42,10 +42,10 @@ class KernelProfile:
 
     ``used_blocked_path`` marks a functional table computed by the BLIS
     tile walk (the ``sim`` backend).  ``parallel`` carries the
-    host-engine report (shard profiles) of launches with ``workers > 1``;
-    ``None`` for serial and timing-only launches.  ``retries``
-    counts launch re-attempts after transient (injected) kernel-launch
-    faults.
+    host-engine report (shard profiles) of launches on an engine with
+    ``workers > 1``; ``None`` for serial and timing-only launches.
+    ``retries`` counts launch re-attempts after transient (injected)
+    kernel-launch faults.
     """
 
     kernel_name: str
@@ -91,10 +91,9 @@ def execute_kernel(
     a_words: np.ndarray,
     b_words: np.ndarray,
     args: KernelArgs | None = None,
-    workers: int | None = None,
+    *,
+    engine: ParallelEngine,
     symmetric: bool | None = None,
-    backend: str = "auto",
-    executor: str = "auto",
 ) -> tuple[np.ndarray, KernelProfile]:
     """Run one kernel launch; returns (C table, profile).
 
@@ -107,25 +106,16 @@ def execute_kernel(
         device's word width.
     args:
         Explicit extents; default derives them from the operands.
-    workers:
-        Host workers the engine shards the functional table across
-        (bit-exact; below its crossover the engine computes one full
-        shard).  ``None``/``1`` computes one full shard inline.
+    engine:
+        The host compute (:class:`~repro.parallel.engine.ParallelEngine`:
+        worker count, kernel-ABI backend, shard executor) that computes
+        the functional table, bit-exact for every engine.  The ``"sim"``
+        backend runs the BLIS tile walk the device model prices.
     symmetric:
         Gram-mode hint.  ``None`` auto-detects (same packed matrix on
         both sides + symmetric op); ``True`` requires it (validated);
         ``False`` disables the triangular plan even for
         self-comparisons.
-    backend:
-        Kernel-ABI backend (:mod:`repro.kernels`) whose panel computes
-        the functional table.  ``"auto"`` defers to ``REPRO_BACKEND`` /
-        the tuner / the size rule; an explicit name is honoured or
-        rejected (``ConfigurationError``), never replaced.  ``"sim"``
-        runs the BLIS tile walk the device model prices.
-    executor:
-        Host-engine shard executor (``"auto"``/``"thread"``/
-        ``"process"``): where sharded runs execute (see
-        :mod:`repro.parallel.procpool`).
     """
     a = np.asarray(a_words)
     b = np.asarray(b_words)
@@ -148,7 +138,6 @@ def execute_kernel(
         )
 
     plan = kernel.blocking_plan(args.m, args.n, args.k)
-    engine = get_engine(workers or 1, backend, executor)
     obs = get_tracer()
     res = get_resilience()
     obs.counters.add(KERNEL_LAUNCHES)
@@ -191,7 +180,7 @@ def execute_kernel(
         device=kernel.arch.name,
         breakdown=breakdown,
         used_blocked_path=report.backend == "sim",
-        parallel=report if workers is not None and workers > 1 else None,
+        parallel=report if engine.workers > 1 else None,
         retries=launch_retries,
     )
     return c, profile

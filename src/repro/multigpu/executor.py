@@ -88,8 +88,7 @@ def run_multi_gpu(
     algorithm: Algorithm | str,
     a_bits: np.ndarray,
     b_bits: np.ndarray,
-    workers: int | None = None,
-    gram: bool = True,
+    workers: int = 1,
     backend: str = "auto",
     executor: str = "auto",
 ) -> tuple[np.ndarray, MultiGPUReport]:
@@ -99,19 +98,14 @@ def run_multi_gpu(
     partitioned.  The returned table equals the single-device result
     exactly (asserted by tests).
 
-    ``workers > 1`` computes every device slice on the sharded host
-    engine; because the engine registry keys pools by worker count
-    (:func:`repro.parallel.get_engine`), all simulated devices share
-    **one** thread pool rather than spawning one per device.
-
-    ``gram``/``backend``/``executor`` forward to each
-    device's framework.  Note a
-    partitioned run rarely benefits from Gram mode: each device
-    compares the full query against a *slice* of the database, which
-    is not a self-comparison (only the degenerate single-device,
-    full-slice case qualifies).
+    ``workers``/``backend``/``executor`` build the one framework every
+    device slice runs on, so all simulated devices share **one** host
+    engine and pool rather than one per device.  A partitioned run
+    rarely takes the Gram path: each device compares the full query
+    against a *slice* of the database, which is not a self-comparison
+    (only the degenerate single-device, full-slice case qualifies).
     """
-    algorithm = Algorithm(algorithm) if isinstance(algorithm, str) else algorithm
+    algorithm = Algorithm(algorithm)
     a = np.asarray(a_bits)
     b = np.asarray(b_bits)
     if a.ndim != 2 or b.ndim != 2:
@@ -122,6 +116,9 @@ def run_multi_gpu(
     if not active:
         raise ModelError("run_multi_gpu: empty database")
     arch = _adjusted_arch(system, len(active))
+    framework = SNPComparisonFramework(
+        arch, algorithm, workers=workers, backend=backend, executor=executor
+    )
 
     obs = get_tracer()
     res = get_resilience()
@@ -156,14 +153,6 @@ def run_multi_gpu(
                 ):
                     res.injector.check(
                         "device", target=dev_slice.device_index
-                    )
-                    framework = SNPComparisonFramework(
-                        arch,
-                        algorithm,
-                        workers=workers,
-                        gram=gram,
-                        backend=backend,
-                        executor=executor,
                     )
                     slice_table, run_report = framework.run(
                         a, b[dev_slice.row_start : dev_slice.row_stop]

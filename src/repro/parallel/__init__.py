@@ -22,10 +22,12 @@ Sharded self-comparisons with a symmetric op take the Gram path:
 triangular shard plans (:meth:`ShardPlan.triangular`) compute only the
 diagonal and upper triangle and mirror the rest by transposition.
 
-Entry points that accept ``workers`` --
-:func:`repro.gpu.executor.execute_kernel`, the framework/pipeline, the
-multi-GPU executor, and the CLI's ``--workers`` flag -- all route
-through this package.  See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
+Entry points that accept ``workers`` -- the framework and every
+application on it, the multi-GPU executor, and the CLI's ``--workers``
+flag -- resolve it once into an engine here
+(:class:`repro.core.framework.SNPComparisonFramework` holds it) and
+pass that engine down to :func:`repro.gpu.executor.execute_kernel`.
+See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
 """
 
 from typing import TYPE_CHECKING, Any

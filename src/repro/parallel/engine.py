@@ -308,12 +308,7 @@ class ParallelEngine:
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
-        try:
-            check_workers("ParallelEngine: workers", workers)
-        except ValueError as exc:
-            # ConfigurationError subclasses ValueError, so callers
-            # catching either see the shared validator's message.
-            raise ConfigurationError(str(exc)) from None
+        check_workers("ParallelEngine: workers", workers)
         if executor not in EXECUTORS:
             raise ConfigurationError(
                 f"ParallelEngine: unknown executor {executor!r} "
@@ -742,6 +737,9 @@ def get_engine(
     """
     if workers is None:
         workers = os.cpu_count() or 1
+    # Checked before the lookup: ``True`` and ``1.0`` hash like ``1``
+    # and would otherwise be handed the cached one-worker engine.
+    check_workers("get_engine: workers", workers)
     key = (workers, backend, executor)
     with _ENGINES_LOCK:
         engine = _ENGINES.get(key)

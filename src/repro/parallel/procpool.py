@@ -360,10 +360,7 @@ class ProcessShardExecutor:
     """
 
     def __init__(self, workers: int) -> None:
-        try:
-            check_workers("ProcessShardExecutor: workers", workers)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
+        check_workers("ProcessShardExecutor: workers", workers)
         self.workers = workers
         self._ctx: "BaseContext | None" = None
         self._procs: dict[int, "BaseProcess"] = {}

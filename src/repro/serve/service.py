@@ -41,7 +41,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro.core.config import Algorithm
-from repro.core.framework import SNPComparisonFramework
+from repro.core.framework import SNPComparisonFramework, framework_for
 from repro.core.packing import PackedOperand
 from repro.core.topk import BestK, Match, check_k
 from repro.errors import (
@@ -70,7 +70,7 @@ from repro.serve.batcher import CoalescingBatcher
 from repro.serve.index import ProfileIndex, Segment
 from repro.serve.metrics import TenantLedger
 from repro.serve.overload import CircuitBreaker
-from repro.util.validation import check_binary_matrix, check_workers
+from repro.util.validation import check_binary_matrix
 
 __all__ = ["QueryRequest", "IdentityService"]
 
@@ -123,7 +123,7 @@ class IdentityService:
         index: ProfileIndex,
         k: int = 5,
         device: "str | GPUArchitecture" = "Titan V",
-        workers: int | None = None,
+        workers: int = 1,
         backend: str = "auto",
         executor: str = "auto",
         window_s: float = 0.005,
@@ -135,28 +135,11 @@ class IdentityService:
         breaker: CircuitBreaker | None = None,
     ) -> None:
         self.default_k = check_k("IdentityService", k)
-        if workers is not None:
-            # Fail at service construction, not at the first query's
-            # engine dispatch (shared validator, ConfigurationError
-            # subclasses ValueError).
-            try:
-                check_workers("IdentityService: workers", workers)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
         self.index = index
-        self.framework = framework or SNPComparisonFramework(
-            device,
-            Algorithm.FASTID_IDENTITY,
-            workers=workers,
-            backend=backend,
-            executor=executor,
+        self.framework = framework_for(
+            "IdentityService", framework, device, Algorithm.FASTID_IDENTITY,
+            workers=workers, backend=backend, executor=executor,
         )
-        if self.framework.algorithm is not Algorithm.FASTID_IDENTITY:
-            raise ConfigurationError(
-                f"IdentityService: framework runs "
-                f"{self.framework.algorithm.value!r}; identity search "
-                f"requires 'fastid-identity'"
-            )
         self.ledger = TenantLedger()
         self._packed: dict[int, PackedOperand] = {}
         self.breaker = breaker or CircuitBreaker(

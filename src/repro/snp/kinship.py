@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import Algorithm
-from repro.core.framework import SNPComparisonFramework
+from repro.core.framework import SNPComparisonFramework, framework_for
 from repro.core.profiles import RunReport
 from repro.errors import DatasetError
 from repro.gpu.arch import GPUArchitecture
@@ -77,8 +77,9 @@ def ibs_matrix(
         raise DatasetError("ibs_matrix: expected a 2-D binary matrix")
     if bits.shape[1] == 0:
         raise DatasetError("ibs_matrix: zero sites carry no IBS information")
-    if framework is None:
-        framework = SNPComparisonFramework(device, Algorithm.FASTID_IDENTITY)
+    framework = framework_for(
+        "ibs_matrix", framework, device, Algorithm.FASTID_IDENTITY
+    )
     distances, report = framework.run(bits, bits)
     ibs = 1.0 - distances / bits.shape[1]
     freqs = bits.mean(axis=0)

@@ -9,6 +9,7 @@ from repro.core.packing import pack_operand
 from repro.core.pipeline import run_pipeline
 from repro.gpu.arch import GTX_980
 from repro.gpu.device import Device
+from repro.parallel.engine import get_engine
 from repro.snp.dataset import SNPDataset
 from repro.snp.forensic import generate_database
 from repro.snp.generator import PopulationModel, generate_population
@@ -81,6 +82,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "consistent references" in out
 
+    @pytest.mark.parametrize("command", ["ld", "identity", "ld-prune"])
+    def test_metrics_flag_keeps_output_tables(
+        self, command, dataset_file, database_files, tmp_path, capsys
+    ):
+        # One framework per command, built from the flags whether or not
+        # observability is on: --metrics must not change a single byte.
+        q_path, db_path = database_files
+        inputs = {
+            "ld": ["--input", dataset_file],
+            "identity": ["--queries", q_path, "--database", db_path],
+            "ld-prune": ["--input", dataset_file, "--transpose"],
+        }[command]
+        tables = []
+        for extra in ([], ["--metrics"]):
+            out = tmp_path / f"out{len(tables)}.npz"
+            argv = [command, *inputs, "--workers", "2", "--backend", "numpy",
+                    "--output", str(out), *extra]
+            assert main(argv) == 0
+            with np.load(out) as payload:
+                tables.append({
+                    key: (payload[key].dtype, payload[key].shape,
+                          payload[key].tobytes())
+                    for key in payload.files
+                })
+        assert "counters" in capsys.readouterr().out
+        assert tables[0] == tables[1]
+
     def test_missing_file_errors(self, capsys):
         assert main(["ld", "--input", "nope.snptxt"]) == 2
         assert "error" in capsys.readouterr().err
@@ -110,7 +138,7 @@ class TestGantt:
             grid_rows=1, grid_cols=16,
         )
         queue = Device(arch).create_context().create_queue()
-        run_pipeline(queue, kernel, a, b)
+        run_pipeline(queue, kernel, a, b, engine=get_engine(1))
         return queue
 
     def test_render_contains_lanes(self):

@@ -6,8 +6,20 @@ import pytest
 from repro.blis.microkernel import ComparisonOp
 from repro.core.config import Algorithm, KernelConfig
 from repro.core.framework import SNPComparisonFramework
+from repro.core.identity import identity_search
+from repro.core.ld import linkage_disequilibrium
+from repro.core.ldops import LDClumper, LDPruner, ld_clump, ld_prune
+from repro.core.mixture import mixture_analysis
+from repro.core.streaming import (
+    StreamingIdentitySearch,
+    StreamingLD,
+    StreamingMixture,
+)
 from repro.errors import ConfigurationError
 from repro.gpu.arch import ALL_GPUS, GTX_980, TITAN_V, VEGA_64
+from repro.multigpu.executor import run_multi_gpu
+from repro.multigpu.system import QUAD_GTX980
+from repro.snp.kinship import ibs_matrix
 from repro.snp.stats import (
     identity_distances_naive,
     ld_counts_naive,
@@ -54,6 +66,102 @@ class TestConstruction:
 
     def test_repr(self):
         assert "Titan V" in repr(SNPComparisonFramework("Titan V"))
+
+
+class TestComputeValidation:
+    """Compute values fail at construction, through the one engine check."""
+
+    BAD = [
+        {"workers": 0},
+        {"workers": -3},
+        {"workers": 2.5},
+        {"workers": True},
+        {"executor": "bogus"},
+        {"backend": "magic"},
+    ]
+
+    @pytest.mark.parametrize("kwargs", BAD, ids=str)
+    def test_framework_rejects(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            SNPComparisonFramework("Titan V", Algorithm.LD, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD, ids=str)
+    def test_linkage_disequilibrium_rejects(self, kwargs, data):
+        with pytest.raises(ConfigurationError):
+            linkage_disequilibrium(data[0], **kwargs)
+
+    def test_one_engine_per_compute_value(self):
+        a = SNPComparisonFramework("Titan V", Algorithm.LD, workers=2)
+        b = SNPComparisonFramework("GTX 980", Algorithm.FASTID_IDENTITY, workers=2)
+        assert a.engine is b.engine
+        assert a.engine.workers == 2
+
+    def test_unknown_algorithm_lists_valid_names(self, data):
+        with pytest.raises(ConfigurationError, match="fastid_identity"):
+            SNPComparisonFramework("Titan V", "nope")
+        with pytest.raises(ConfigurationError, match="fastid_identity"):
+            run_multi_gpu(QUAD_GTX980, "nope", data[0], data[0])
+
+
+def _service(framework):
+    from repro.serve import IdentityService, ProfileIndex
+
+    index = ProfileIndex(n_bits=40)
+    index.append(np.ones((4, 40), dtype=np.uint8))
+    with index:
+        return IdentityService(index, framework=framework)
+
+
+# Every entry point that accepts ``framework=``, called with one compiled
+# for another algorithm: each would return well-formed, wrong tables.
+_SITES = np.random.default_rng(5).integers(0, 2, size=(40, 64), dtype=np.uint8)
+_CONSUMERS = {
+    "linkage_disequilibrium": (
+        Algorithm.FASTID_IDENTITY,
+        lambda fw: linkage_disequilibrium(_SITES, framework=fw),
+    ),
+    "identity_search": (
+        Algorithm.LD, lambda fw: identity_search(_SITES, _SITES, framework=fw)
+    ),
+    "mixture_analysis": (
+        Algorithm.LD,
+        lambda fw: mixture_analysis(_SITES, _SITES[:2], framework=fw),
+    ),
+    "ibs_matrix": (Algorithm.LD, lambda fw: ibs_matrix(_SITES, framework=fw)),
+    "StreamingIdentitySearch": (
+        Algorithm.LD, lambda fw: StreamingIdentitySearch(_SITES, framework=fw)
+    ),
+    "StreamingLD": (
+        Algorithm.FASTID_IDENTITY, lambda fw: StreamingLD(framework=fw)
+    ),
+    "StreamingMixture": (
+        Algorithm.LD, lambda fw: StreamingMixture(_SITES[:2], framework=fw)
+    ),
+    "LDPruner": (
+        Algorithm.FASTID_IDENTITY, lambda fw: LDPruner(10, 0.2, framework=fw)
+    ),
+    "LDClumper": (
+        Algorithm.FASTID_IDENTITY,
+        lambda fw: LDClumper(10, 0.2, np.ones(40), framework=fw),
+    ),
+    "ld_prune": (
+        Algorithm.FASTID_IDENTITY,
+        lambda fw: ld_prune(_SITES, 10, 0.2, framework=fw),
+    ),
+    "ld_clump": (
+        Algorithm.FASTID_IDENTITY,
+        lambda fw: ld_clump(_SITES, np.ones(40), 10, 0.2, framework=fw),
+    ),
+    "IdentityService": (Algorithm.LD, _service),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_consumer_rejects_framework_for_another_algorithm(consumer):
+    wrong_algorithm, call = _CONSUMERS[consumer]
+    framework = SNPComparisonFramework("Titan V", wrong_algorithm)
+    with pytest.raises(ConfigurationError, match="framework runs"):
+        call(framework)
 
 
 class TestRunCorrectness:

@@ -10,6 +10,7 @@ from repro.errors import AllocationError
 from repro.gpu.arch import GTX_980, GPUArchitecture, MemorySystemModel
 from repro.gpu.device import Device
 from repro.gpu.kernel import SnpKernel
+from repro.parallel.engine import get_engine
 from repro.snp.stats import ld_counts_naive
 from repro.util.units import kib, mib
 
@@ -97,7 +98,7 @@ class TestRunPipeline:
     def test_single_tile_correct(self, small_problem):
         a_bits, b_bits, a, b = small_problem
         queue = Device(GTX_980).create_context().create_queue()
-        raw, profiles, plan = run_pipeline(queue, make_kernel(GTX_980), a, b)
+        raw, profiles, plan = run_pipeline(queue, make_kernel(GTX_980), a, b, engine=get_engine(1))
         assert plan.n_tiles == 1
         assert len(profiles) == 1
         assert (raw[:16, :700] == ld_counts_naive(a_bits, b_bits)).all()
@@ -106,7 +107,7 @@ class TestRunPipeline:
         a_bits, b_bits, a, b = small_problem
         arch = tiny_memory_arch(max_alloc=8 * 1024)
         queue = Device(arch).create_context().create_queue()
-        raw, profiles, plan = run_pipeline(queue, make_kernel(arch), a, b)
+        raw, profiles, plan = run_pipeline(queue, make_kernel(arch), a, b, engine=get_engine(1))
         assert plan.n_tiles > 1
         assert len(profiles) == plan.n_tiles
         assert (raw[:16, :700] == ld_counts_naive(a_bits, b_bits)).all()
@@ -118,7 +119,8 @@ class TestRunPipeline:
         def total_time(double_buffering):
             queue = Device(arch).create_context().create_queue()
             run_pipeline(
-                queue, make_kernel(arch), a, b, double_buffering=double_buffering
+                queue, make_kernel(arch), a, b, double_buffering=double_buffering,
+                engine=get_engine(1),
             )
             return queue.finish()
 
@@ -130,7 +132,7 @@ class TestRunPipeline:
         _, _, a, b = small_problem
         context = Device(GTX_980).create_context()
         queue = context.create_queue()
-        run_pipeline(queue, make_kernel(GTX_980), a, b)
+        run_pipeline(queue, make_kernel(GTX_980), a, b, engine=get_engine(1))
         assert context.memory.n_live == 0
         assert context.memory.allocated_bytes == 0
 
@@ -141,4 +143,4 @@ class TestRunPipeline:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            run_pipeline(queue, make_kernel(arch), a, b)
+            run_pipeline(queue, make_kernel(arch), a, b, engine=get_engine(1))

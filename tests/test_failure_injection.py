@@ -19,6 +19,7 @@ from repro.errors import AllocationError, DeviceError
 from repro.gpu.arch import GTX_980
 from repro.gpu.device import Device
 from repro.gpu.kernel import SnpKernel
+from repro.parallel.engine import get_engine
 from repro.snp.stats import ld_counts_naive
 from repro.util.units import kib, mib
 
@@ -61,7 +62,7 @@ class TestAllocationExhaustion:
         queue = context.create_queue()
         live_before = context.memory.n_live
         # The pipeline still fits (tiles shrink); results stay exact.
-        raw, _, plan = run_pipeline(queue, ld_kernel(arch), a, b)
+        raw, _, plan = run_pipeline(queue, ld_kernel(arch), a, b, engine=get_engine(1))
         assert context.memory.n_live == live_before  # pipeline buffers freed
         hog.release()
 
@@ -89,7 +90,7 @@ class TestHandleMisuse:
         queue.enqueue_write_buffer(b, packed)
         b.release()
         with pytest.raises(DeviceError, match="after release"):
-            queue.enqueue_kernel(ld_kernel(GTX_980), a, b, c)
+            queue.enqueue_kernel(ld_kernel(GTX_980), a, b, c, engine=get_engine(1))
 
     def test_read_of_never_written_buffer_in_pipeline_order(self):
         context = Device(GTX_980).create_context()
@@ -108,7 +109,7 @@ class TestHandleMisuse:
         from repro.errors import KernelLaunchError
 
         with pytest.raises(KernelLaunchError, match="uint32"):
-            queue.enqueue_kernel(ld_kernel(GTX_980), a, a, c)
+            queue.enqueue_kernel(ld_kernel(GTX_980), a, a, c, engine=get_engine(1))
 
 
 class TestDegenerateShapes:
@@ -158,7 +159,7 @@ class TestDegenerateShapes:
         b = pack_operand(b_bits, row_multiple=4)
         context = Device(arch).create_context()
         queue = context.create_queue()
-        raw, profiles, plan = run_pipeline(queue, ld_kernel(arch), a, b)
+        raw, profiles, plan = run_pipeline(queue, ld_kernel(arch), a, b, engine=get_engine(1))
         assert plan.n_tiles >= 10
         assert (raw[:16, :2000] == ld_counts_naive(a_bits, b_bits)).all()
         assert context.memory.n_live == 0

@@ -8,6 +8,7 @@ from repro.errors import AllocationError, DeviceError, KernelLaunchError
 from repro.gpu.arch import GTX_980, TITAN_V
 from repro.gpu.device import Device, Platform
 from repro.gpu.kernel import KernelArgs, SnpKernel
+from repro.parallel.engine import get_engine
 from repro.snp.stats import ld_counts_naive
 from repro.util.bitops import pack_bits
 
@@ -137,7 +138,9 @@ class TestKernelEnqueue:
         c = context.create_buffer(20 * 20 * 4)
         ea = queue.enqueue_write_buffer(a, packed)
         eb = queue.enqueue_write_buffer(b, packed)
-        ek, profile = queue.enqueue_kernel(ld_kernel(), a, b, c, wait_for=[ea, eb])
+        ek, profile = queue.enqueue_kernel(
+            ld_kernel(), a, b, c, wait_for=[ea, eb], engine=get_engine(1)
+        )
         out, er = queue.enqueue_read_buffer(c, wait_for=[ek])
         assert (out == ld_counts_naive(bits)).all()
         assert out.dtype == np.int32  # device accumulators are 32-bit
@@ -153,7 +156,7 @@ class TestKernelEnqueue:
         )
         a = context.create_buffer(64)
         with pytest.raises(KernelLaunchError, match="compiled for"):
-            queue.enqueue_kernel(wrong, a, a, a)
+            queue.enqueue_kernel(wrong, a, a, a, engine=get_engine(1))
 
     def test_accumulate_adds(self, stack):
         _, context, queue = stack
@@ -164,8 +167,10 @@ class TestKernelEnqueue:
         c = context.create_buffer(8 * 8 * 4)
         queue.enqueue_write_buffer(a, packed)
         queue.enqueue_write_buffer(b, packed)
-        queue.enqueue_kernel(ld_kernel(), a, b, c)
-        queue.enqueue_kernel(ld_kernel(), a, b, c, accumulate=True)
+        queue.enqueue_kernel(ld_kernel(), a, b, c, engine=get_engine(1))
+        queue.enqueue_kernel(
+            ld_kernel(), a, b, c, accumulate=True, engine=get_engine(1)
+        )
         out, _ = queue.enqueue_read_buffer(c)
         assert (out == 2 * ld_counts_naive(bits)).all()
 
@@ -189,7 +194,7 @@ class TestDryRun:
         c = context.create_buffer(16 * 16 * 4)
         queue.enqueue_write_buffer(a, packed)
         queue.enqueue_write_buffer(b, packed)
-        _, wet = queue.enqueue_kernel(ld_kernel(), a, b, c)
+        _, wet = queue.enqueue_kernel(ld_kernel(), a, b, c, engine=get_engine(1))
         _, dry = queue.enqueue_kernel_dry(
             ld_kernel(), KernelArgs(m=16, n=16, k=3)
         )

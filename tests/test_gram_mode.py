@@ -295,18 +295,6 @@ class TestFrameworkGram:
         assert parallel.symmetric
         assert parallel.n_mirrored > 0
 
-    def test_gram_false_disables(self):
-        rng = np.random.default_rng(16)
-        mat = rng.integers(0, 2, size=(512, 512), dtype=np.uint8)
-        on = linkage_disequilibrium(mat, compare="sites", workers=4, backend="blas")
-        off = linkage_disequilibrium(
-            mat, compare="sites", workers=4, gram=False, backend="blas"
-        )
-        off_parallel = off.report.kernel_profiles[0].parallel
-        assert not off_parallel.symmetric
-        assert off_parallel.n_mirrored == 0
-        assert (on.counts == off.counts).all()
-
     def test_explicit_same_matrix_operands_fold_to_self_comparison(self):
         rng = np.random.default_rng(17)
         mat = rng.integers(0, 2, size=(512, 512), dtype=np.uint8)

@@ -263,8 +263,8 @@ class TestIntegration:
         bits_a = (rng.random((40, 300)) < 0.4).astype(np.uint8)
         bits_b = (rng.random((35, 300)) < 0.4).astype(np.uint8)
         pa, pb = pack_bits(bits_a, 32), pack_bits(bits_b, 32)
-        serial_c, serial_p = execute_kernel(kernel, pa, pb)
-        par_c, par_p = execute_kernel(kernel, pa, pb, workers=4)
+        serial_c, serial_p = execute_kernel(kernel, pa, pb, engine=get_engine(1))
+        par_c, par_p = execute_kernel(kernel, pa, pb, engine=get_engine(4))
         assert (par_c == serial_c).all()
         # Simulated timing is a pure function of the launch geometry;
         # host-side sharding must not perturb it.

@@ -12,6 +12,7 @@ from repro.core.pipeline import run_pipeline
 from repro.errors import DatasetError
 from repro.gpu.arch import GTX_980
 from repro.gpu.device import Device
+from repro.parallel.engine import get_engine
 from repro.gpu.tracing import trace_events, write_chrome_trace
 from repro.snp.panels import (
     ALL_PANELS,
@@ -35,7 +36,7 @@ def make_traced_queue():
         grid_rows=4, grid_cols=4,
     )
     queue = Device(GTX_980).create_context().create_queue()
-    run_pipeline(queue, kernel, a, b)
+    run_pipeline(queue, kernel, a, b, engine=get_engine(1))
     return queue
 
 

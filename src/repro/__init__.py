@@ -35,8 +35,8 @@ Package map::
     repro.cpu     CPU baseline of Alachiotis et al. [11]
     repro.model   peak / end-to-end / scaling performance models
     repro.bench   experiment harness regenerating every table & figure
-    repro.parallel the one compute path: shard plan x backend panel x
-                  executor (the ``workers=`` entry points)
+    repro.parallel the one compute path: shard plan x backend panel on
+                  one thread pool (the ``workers=`` entry points)
 """
 
 from repro.core import (

@@ -19,11 +19,8 @@ sensible default for the machine; see :mod:`repro.parallel`), plus
 ``--backend {auto,numpy,blas,numba,...}`` to pick the kernel-ABI
 backend computing every shard panel (``auto`` defers to
 ``REPRO_BACKEND``, the tuner's per-machine winner, then the size rule;
-see ``docs/KERNELS.md``),
-and ``--executor {auto,thread,process}`` to pick the shard executor
-tier (``process`` runs shards in worker processes over shared-memory
-operands; see ``docs/DISTRIBUTED.md``).  Each command builds one
-framework from these flags and runs on it.  Self-comparisons take the
+see ``docs/KERNELS.md``).  Each command builds one framework from
+these flags and runs on it.  Self-comparisons take the
 symmetric Gram fast path automatically (see ``docs/PERF.md``).
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``--retries N`` retries
@@ -184,7 +181,6 @@ def _framework(
         algorithm,
         workers=workers or recommended_workers(),
         backend=args.backend,
-        executor=args.executor,
     )
 
 
@@ -713,11 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_BACKEND, then the tuner's per-machine winner, then the "
         "word-walk/blas size rule; see docs/KERNELS.md)"
     )
-    executor_help = (
-        "shard executor tier: thread pool, worker processes over "
-        "shared-memory operands, or auto (tuner-raced winner; see "
-        "docs/DISTRIBUTED.md)"
-    )
 
     def add_observability_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--trace", metavar="PATH", help=trace_help)
@@ -747,10 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--backend", default="auto",
             choices=["auto", *backend_names()], help=backend_help,
-        )
-        cmd.add_argument(
-            "--executor", default="auto",
-            choices=["auto", "thread", "process"], help=executor_help,
         )
         cmd.add_argument(
             "--retries", type=int, default=0, metavar="N", help=retries_help

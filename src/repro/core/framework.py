@@ -76,13 +76,10 @@ class SNPComparisonFramework:
         tables: ``"auto"`` (``REPRO_BACKEND`` env, then the tuner's
         per-machine winner, then the size rule) or an explicit
         registered name such as ``"numpy"``, ``"blas"`` or ``"numba"``.
-    executor:
-        Shard executor: ``"auto"``, ``"thread"`` or ``"process"``
-        (:mod:`repro.parallel.procpool`).
 
-    ``workers``, ``backend`` and ``executor`` resolve once, at
-    construction, to :attr:`engine` -- the process-wide
-    :class:`~repro.parallel.engine.ParallelEngine` for that triple,
+    ``workers`` and ``backend`` resolve once, at construction, to
+    :attr:`engine` -- the process-wide
+    :class:`~repro.parallel.engine.ParallelEngine` for that pair,
     whose constructor rejects bad values with
     :class:`~repro.errors.ConfigurationError`.  Every launch runs on
     it.  Gram mode needs no option: single-tile self-comparisons with
@@ -99,13 +96,12 @@ class SNPComparisonFramework:
         double_buffering: bool = True,
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
     ) -> None:
         self.arch = get_gpu(device) if isinstance(device, str) else device
         self.algorithm = Algorithm(algorithm)
         self.prenegate = prenegate
         self.double_buffering = double_buffering
-        self.engine = get_engine(workers, backend, executor)
+        self.engine = get_engine(workers, backend)
         self.config = config or derive_config(
             self.arch, self.algorithm, prenegate=prenegate
         )
@@ -254,11 +250,6 @@ class SNPComparisonFramework:
                 for p in profiles
                 if p.parallel is not None and p.parallel.resilience is not None
             )
-            # Process-executor runs ship injector events fired inside
-            # worker processes (plus synthesized worker-lost records);
-            # the engine absorbs them into this process's injector log
-            # under an active context, so one slice covers thread,
-            # serial and process runs alike.
             report.resilience = ResilienceReport(
                 faults_injected=len(events),
                 retries=engine_totals.retries
@@ -266,7 +257,6 @@ class SNPComparisonFramework:
                 quarantined=engine_totals.quarantined,
                 tiles_verified=engine_totals.tiles_verified,
                 verify_mismatches=engine_totals.verify_mismatches,
-                workers_lost=engine_totals.workers_lost,
                 events=events,
             )
         return crop_result(raw, a, b), report
@@ -281,14 +271,11 @@ class SNPComparisonFramework:
         engine = self.engine
         workers = "" if engine.workers == 1 else f", workers={engine.workers}"
         backend = "" if engine.backend == "auto" else f", backend={engine.backend!r}"
-        executor = (
-            "" if engine.executor == "auto" else f", executor={engine.executor!r}"
-        )
         return (
             f"SNPComparisonFramework(device={self.arch.name!r}, "
             f"algorithm={self.algorithm.value!r}, op={self.config.op.value!r}, "
             f"grid={self.config.grid_rows}x{self.config.grid_cols}"
-            f"{workers}{backend}{executor})"
+            f"{workers}{backend})"
         )
 
 
@@ -301,7 +288,6 @@ def framework_for(
     prenegate: bool | None = None,
     workers: int = 1,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> SNPComparisonFramework:
     """The framework an application entry point runs on.
 
@@ -315,7 +301,7 @@ def framework_for(
     if framework is None:
         return SNPComparisonFramework(
             device, algorithm, prenegate=prenegate, workers=workers,
-            backend=backend, executor=executor,
+            backend=backend,
         )
     if framework.algorithm is not algorithm:
         raise ConfigurationError(

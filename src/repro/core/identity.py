@@ -65,7 +65,6 @@ def identity_search(
     framework: SNPComparisonFramework | None = None,
     workers: int = 1,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> IdentityResult:
     """Search ``queries`` against ``database`` on the simulated GPU.
 
@@ -79,7 +78,7 @@ def identity_search(
     framework:
         Reuse an existing identity framework instance; one for another
         algorithm raises :class:`~repro.errors.ConfigurationError`.
-    workers, backend, executor:
+    workers, backend:
         Host compute, as for
         :class:`~repro.core.framework.SNPComparisonFramework`; a
         supplied ``framework`` brings its own.
@@ -98,7 +97,7 @@ def identity_search(
         )
     framework = framework_for(
         "identity_search", framework, device, Algorithm.FASTID_IDENTITY,
-        workers=workers, backend=backend, executor=executor,
+        workers=workers, backend=backend,
     )
     distances, report = framework.run(q, db)
     return IdentityResult(distances=distances, report=report)

@@ -109,7 +109,6 @@ def linkage_disequilibrium(
     framework: SNPComparisonFramework | None = None,
     workers: int = 1,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> LDResult:
     """Compute all-pairs LD on the simulated GPU framework.
 
@@ -127,7 +126,7 @@ def linkage_disequilibrium(
         Reuse an existing LD framework instance (skips re-derivation);
         one for another algorithm raises
         :class:`~repro.errors.ConfigurationError`.
-    workers, backend, executor:
+    workers, backend:
         Host compute, as for
         :class:`~repro.core.framework.SNPComparisonFramework`; a
         supplied ``framework`` brings its own.
@@ -156,7 +155,7 @@ def linkage_disequilibrium(
         )
     framework = framework_for(
         "linkage_disequilibrium", framework, device, Algorithm.LD,
-        workers=workers, backend=backend, executor=executor,
+        workers=workers, backend=backend,
     )
     counts, report = framework.run(entities)
     n_obs = entities.shape[1]

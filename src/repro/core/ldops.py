@@ -388,7 +388,6 @@ class LDPruner:
         device: str | GPUArchitecture = "Titan V",
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         _check_params("LDPruner", window, r2)
@@ -396,7 +395,7 @@ class LDPruner:
         self.r2 = r2
         self.framework = framework_for(
             "LDPruner", framework, device, Algorithm.LD,
-            workers=workers, backend=backend, executor=executor,
+            workers=workers, backend=backend,
         )
         self._gram = _WindowGram(window, self.framework)
         self._kept: list[int] = []
@@ -562,7 +561,6 @@ class LDClumper:
         device: str | GPUArchitecture = "Titan V",
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         _check_params("LDClumper", window, r2)
@@ -579,7 +577,7 @@ class LDClumper:
         self.scores = score_arr
         self.framework = framework_for(
             "LDClumper", framework, device, Algorithm.LD,
-            workers=workers, backend=backend, executor=executor,
+            workers=workers, backend=backend,
         )
         self._gram = _WindowGram(window, self.framework)
         #: Rank position of each site: ``(-score, site)`` order.
@@ -760,7 +758,6 @@ def ld_prune(
     device: str | GPUArchitecture = "Titan V",
     workers: int = 1,
     backend: str = "auto",
-    executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
 ) -> PruneResult:
     """Stream a site-major source through :class:`LDPruner` once.
@@ -772,7 +769,7 @@ def ld_prune(
     """
     pruner = LDPruner(
         window, r2, device=device, workers=workers, backend=backend,
-        executor=executor, framework=framework,
+        framework=framework,
     )
     stats = _drive(pruner, source, chunk_rows, prefetch, "ld-prune")
     result = pruner.finalize()
@@ -790,7 +787,6 @@ def ld_clump(
     device: str | GPUArchitecture = "Titan V",
     workers: int = 1,
     backend: str = "auto",
-    executor: str = "auto",
     framework: SNPComparisonFramework | None = None,
 ) -> ClumpResult:
     """Stream a site-major source through :class:`LDClumper` once.
@@ -801,7 +797,7 @@ def ld_clump(
     """
     clumper = LDClumper(
         window, r2, scores, device=device, workers=workers,
-        backend=backend, executor=executor, framework=framework,
+        backend=backend, framework=framework,
     )
     stats = _drive(clumper, source, chunk_rows, prefetch, "clump")
     if clumper.sites_seen != clumper.scores.shape[0]:

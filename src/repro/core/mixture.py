@@ -84,7 +84,6 @@ def mixture_analysis(
     framework: SNPComparisonFramework | None = None,
     workers: int = 1,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> MixtureResult:
     """Score ``references`` against ``mixtures`` on the simulated GPU.
 
@@ -100,7 +99,7 @@ def mixture_analysis(
     framework:
         Reuse an existing mixture framework instance; one for another
         algorithm raises :class:`~repro.errors.ConfigurationError`.
-    workers, backend, executor:
+    workers, backend:
         Host compute, as for
         :class:`~repro.core.framework.SNPComparisonFramework`; a
         supplied ``framework`` brings its own (and its ``prenegate``).
@@ -116,7 +115,6 @@ def mixture_analysis(
     framework = framework_for(
         "mixture_analysis", framework, device, Algorithm.FASTID_MIXTURE,
         prenegate=prenegate, workers=workers, backend=backend,
-        executor=executor,
     )
     scores, report = framework.run(r, m)
     return MixtureResult(

@@ -143,7 +143,6 @@ class StreamingIdentitySearch:
         device: str | GPUArchitecture = "Titan V",
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         q = check_binary_matrix("StreamingIdentitySearch: queries", queries)
@@ -156,7 +155,7 @@ class StreamingIdentitySearch:
         self.framework = framework_for(
             "StreamingIdentitySearch", framework, device,
             Algorithm.FASTID_IDENTITY,
-            workers=workers, backend=backend, executor=executor,
+            workers=workers, backend=backend,
         )
         self._best = BestK(q.shape[0], self.k)
         self.rows_seen = 0
@@ -270,12 +269,11 @@ class StreamingLD:
         device: str | GPUArchitecture = "Titan V",
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         self.framework = framework_for(
             "StreamingLD", framework, device, Algorithm.LD,
-            workers=workers, backend=backend, executor=executor,
+            workers=workers, backend=backend,
         )
 
     def run(
@@ -353,7 +351,6 @@ class StreamingMixture:
         prenegate: bool | None = None,
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
         framework: SNPComparisonFramework | None = None,
     ) -> None:
         m = check_binary_matrix("StreamingMixture: mixtures", mixtures)
@@ -365,7 +362,6 @@ class StreamingMixture:
         self.framework = framework_for(
             "StreamingMixture", framework, device, Algorithm.FASTID_MIXTURE,
             prenegate=prenegate, workers=workers, backend=backend,
-            executor=executor,
         )
         self._score_blocks: list[np.ndarray] = []
         self._reports: list[RunReport] = []

@@ -27,7 +27,6 @@ from repro.kernels.abi import (
     available_backends,
     backend_available,
     backend_fingerprint,
-    backend_identity,
     backend_names,
     canonicalize_words,
     check_panel_operands,
@@ -60,7 +59,6 @@ __all__ = [
     "available_backends",
     "backend_available",
     "backend_fingerprint",
-    "backend_identity",
     "backend_names",
     "canonicalize_words",
     "check_panel_operands",

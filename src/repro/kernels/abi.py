@@ -68,7 +68,6 @@ __all__ = [
     "env_backend_name",
     "resolve_backend",
     "resolve_backend_name",
-    "backend_identity",
     "backend_fingerprint",
 ]
 
@@ -359,19 +358,6 @@ def resolve_backend_name(
 def resolve_backend(name: str | None = None) -> KernelBackend:
     """:func:`resolve_backend_name`, returning the backend object."""
     return get_backend(resolve_backend_name(name))
-
-
-def backend_identity(backend: KernelBackend) -> str:
-    """Implementation identity of one backend: class path, version, state.
-
-    Process workers compare it with the parent's: the same name bound
-    to a different implementation (a shadowing registration, a partial
-    install, version skew) must fail loudly, not compute elsewhere.
-    """
-    info = backend.info
-    cls = type(backend)
-    state = "available" if info.available else "unavailable"
-    return f"{cls.__module__}.{cls.__qualname__}/{info.version}/{state}"
 
 
 def backend_fingerprint() -> str:

@@ -90,7 +90,6 @@ def run_multi_gpu(
     b_bits: np.ndarray,
     workers: int = 1,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> tuple[np.ndarray, MultiGPUReport]:
     """Functional multi-GPU run: bit-exact table plus node timing.
 
@@ -98,7 +97,7 @@ def run_multi_gpu(
     partitioned.  The returned table equals the single-device result
     exactly (asserted by tests).
 
-    ``workers``/``backend``/``executor`` build the one framework every
+    ``workers``/``backend`` build the one framework every
     device slice runs on, so all simulated devices share **one** host
     engine and pool rather than one per device.  A partitioned run
     rarely takes the Gram path: each device compares the full query
@@ -117,7 +116,7 @@ def run_multi_gpu(
         raise ModelError("run_multi_gpu: empty database")
     arch = _adjusted_arch(system, len(active))
     framework = SNPComparisonFramework(
-        arch, algorithm, workers=workers, backend=backend, executor=executor
+        arch, algorithm, workers=workers, backend=backend
     )
 
     obs = get_tracer()

@@ -11,11 +11,8 @@ every bit-GEMM in the package takes:
 * :mod:`repro.parallel.engine` -- :class:`ParallelEngine`,
   :func:`bit_gemm_parallel`, and the process-wide :func:`get_engine`
   pool registry (one pool shared across simulated devices);
-* :mod:`repro.parallel.procpool` -- :class:`ProcessShardExecutor`,
-  the ``executor="process"`` tier: worker processes with operands
-  published through shared memory / mmap (``docs/DISTRIBUTED.md``);
 * :mod:`repro.parallel.tuner` -- the persisted host autotuner that
-  ``backend="auto"`` (and ``executor="auto"``) consults
+  ``backend="auto"`` consults
   (:func:`tune_problem`, :func:`lookup_tuned`).
 
 Sharded self-comparisons with a symmetric op take the Gram path:
@@ -30,12 +27,8 @@ pass that engine down to :func:`repro.gpu.executor.execute_kernel`.
 See ``docs/PARALLEL.md`` and ``docs/PERF.md``.
 """
 
-from typing import TYPE_CHECKING, Any
-
 from repro.parallel.engine import (
-    EXECUTORS,
     PARALLEL_CROSSOVER_OPS,
-    REPRO_EXECUTOR_ENV,
     ParallelEngine,
     ParallelReport,
     ShardProfile,
@@ -53,10 +46,7 @@ from repro.parallel.tuner import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "PARALLEL_CROSSOVER_OPS",
-    "ProcessShardExecutor",
-    "REPRO_EXECUTOR_ENV",
     "ParallelEngine",
     "ParallelReport",
     "ShardProfile",
@@ -73,20 +63,3 @@ __all__ = [
     "tune_problem",
 ]
 
-
-if TYPE_CHECKING:  # the lazy re-export below, visible to type checkers
-    from repro.parallel.procpool import (
-        ProcessShardExecutor as ProcessShardExecutor,
-    )
-
-
-def __getattr__(name: str) -> Any:
-    # ProcessShardExecutor is re-exported lazily: the process tier
-    # pulls in multiprocessing machinery (shared_memory, spawn context)
-    # most runs never need, and ParallelEngine imports it on first
-    # ``executor="process"`` use for the same reason.
-    if name == "ProcessShardExecutor":
-        from repro.parallel.procpool import ProcessShardExecutor
-
-        return ProcessShardExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

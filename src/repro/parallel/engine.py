@@ -18,16 +18,15 @@ CPU baseline all reach compute through it.  One run is one loop:
    :data:`~repro.kernels.AUTO_WORD_WALK_MAX_OPS`).  An explicit backend
    is honoured or rejected with :class:`~repro.errors.ConfigurationError`,
    never replaced.
-3. **Executor.**  Shards run inline, on a thread pool (the NumPy/BLAS
-   and compiled kernels release the GIL, so shards overlap), or on the
-   process pool (:mod:`repro.parallel.procpool`).  ``executor="auto"``
-   honours ``REPRO_EXECUTOR``, then the tuning record, then threads.
+3. **Thread pool.**  Shards run inline (serial runs) or on the
+   engine's thread pool: the NumPy/BLAS and compiled kernels release
+   the GIL, so shards overlap.
 
 Every shard writes its disjoint block of the shared output, so the
-partial-``gamma`` reduction is race-free by construction, and every
-executor runs shards through the same :func:`execute_shard`
-retry/quarantine/verify ladder -- results are bit-exact across
-executors and the deterministic counters match.
+partial-``gamma`` reduction is race-free by construction, and inline
+and pooled runs execute shards through the same :func:`execute_shard`
+retry/quarantine/verify ladder -- results are bit-exact across worker
+counts and the deterministic counters match.
 
 **Gram mode.**  When both operands are the *same* packed matrix
 (``same_operand``) and the op is symmetric, ``C == C.T`` and sharded
@@ -61,7 +60,6 @@ from repro.blis.blocking import BlockingPlan
 from repro.blis.gemm import HOST_BLOCKING, bit_gemm_reference, same_operand
 from repro.blis.microkernel import ComparisonOp
 from repro.errors import (
-    ConfigurationError,
     PackingError,
     ReproError,
     ShardExecutionError,
@@ -88,20 +86,16 @@ from repro.observability.counters import (
 from repro.observability.report import MetricsReport
 from repro.observability.tracer import get_tracer
 from repro.parallel.plan import TRIANGULAR_MIN_BANDS, Shard, ShardPlan
-from repro.resilience.faults import FiredFault
 from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import Disposition, classify
 from repro.resilience.runtime import ResilienceContext, get_resilience
 from repro.util.validation import check_workers
 
 if TYPE_CHECKING:
-    from repro.parallel.procpool import ProcessShardExecutor
     from repro.parallel.tuner import TuningRecord
 
 __all__ = [
-    "EXECUTORS",
     "PARALLEL_CROSSOVER_OPS",
-    "REPRO_EXECUTOR_ENV",
     "ShardProfile",
     "ParallelReport",
     "ParallelEngine",
@@ -109,15 +103,6 @@ __all__ = [
     "execute_shard",
     "get_engine",
 ]
-
-#: Environment variable selecting the shard executor when an engine is
-#: constructed with ``executor="auto"`` (values: ``thread``,
-#: ``process``).  CI's process leg sets ``REPRO_EXECUTOR=process`` to
-#: run the whole suite through the process pool.
-REPRO_EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Valid ``executor=`` arguments.
-EXECUTORS = ("auto", "thread", "process")
 
 #: Problems below this many packed-word operations run serially: pool
 #: dispatch costs more than it saves on small tables.
@@ -191,13 +176,7 @@ class ParallelReport:
     resilience context was active during the run; ``None`` otherwise.
     ``shard_plan`` is the sharded run's plan (``None`` for serial runs,
     which compute one full shard).  ``symmetric`` marks a triangular
-    Gram plan.  ``executor`` names the tier that ran the shards:
-    ``"process"`` for the process pool, ``"thread"`` otherwise
-    (inline runs included).  For process runs,
-    ``worker_events`` carries injector events that fired inside worker
-    processes plus ``worker-lost`` records of genuine crashes, and
-    ``workers_lost`` counts worker processes that died mid-run (their
-    shards were re-executed on the survivors).
+    Gram plan.
     """
 
     workers: int
@@ -209,9 +188,6 @@ class ParallelReport:
     metrics: MetricsReport | None = None
     symmetric: bool = False
     resilience: ResilienceReport | None = None
-    executor: str = "thread"
-    worker_events: tuple[FiredFault, ...] = ()
-    workers_lost: int = 0
 
     @property
     def n_shards(self) -> int:
@@ -269,7 +245,7 @@ def _check_symmetric_run(a: np.ndarray, b: np.ndarray, op: ComparisonOp) -> None
 
 
 class ParallelEngine:
-    """Runs one bit-GEMM as shard plan x backend panel x executor.
+    """Runs one bit-GEMM as shard plan x backend panel on a thread pool.
 
     Parameters
     ----------
@@ -286,12 +262,6 @@ class ParallelEngine:
         per run: the ``REPRO_BACKEND`` environment variable, the
         persisted tuning record for the problem's size class, then the
         size rule.  Word-op accounting is backend-invariant.
-    executor:
-        Where shards run: ``"thread"`` (in-process pool),
-        ``"process"`` (worker processes with shared-memory operands,
-        :mod:`repro.parallel.procpool`), or ``"auto"`` which resolves,
-        in order: the ``REPRO_EXECUTOR`` environment variable, the
-        tuning record's measured winner, then ``"thread"``.
 
     One engine owns one lazily created pool; it is reused across runs
     and across callers -- :func:`get_engine` hands the same engine to
@@ -304,25 +274,17 @@ class ParallelEngine:
         oversubscribe: int = 2,
         crossover_ops: int = PARALLEL_CROSSOVER_OPS,
         backend: str = "auto",
-        executor: str = "auto",
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         check_workers("ParallelEngine: workers", workers)
-        if executor not in EXECUTORS:
-            raise ConfigurationError(
-                f"ParallelEngine: unknown executor {executor!r} "
-                f"(valid: {', '.join(EXECUTORS)})"
-            )
         if backend != "auto":
             get_backend(backend)  # unknown names fail at construction
         self.workers = workers
         self.oversubscribe = oversubscribe
         self.crossover_ops = crossover_ops
         self.backend = backend
-        self.executor = executor
         self._pool: ThreadPoolExecutor | None = None
-        self._procpool: "ProcessShardExecutor | None" = None
         self._pool_lock = threading.Lock()
 
     # -- pool management -------------------------------------------------------
@@ -336,25 +298,12 @@ class ParallelEngine:
                 )
             return self._pool
 
-    def _get_procpool(self) -> "ProcessShardExecutor":
-        with self._pool_lock:
-            if self._procpool is None:
-                # Imported lazily: the process tier pulls in
-                # multiprocessing machinery most runs never need.
-                from repro.parallel.procpool import ProcessShardExecutor
-
-                self._procpool = ProcessShardExecutor(self.workers)
-            return self._procpool
-
     def shutdown(self) -> None:
-        """Release the pools (a later run recreates them)."""
+        """Release the pool (a later run recreates it)."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            if self._procpool is not None:
-                self._procpool.shutdown()
-                self._procpool = None
 
     # -- entry point -----------------------------------------------------------
 
@@ -394,17 +343,15 @@ class ParallelEngine:
         backend_spec = self.backend
         if backend_spec == "auto":
             backend_spec = env_backend_name() or "auto"
-        executor = self._resolve_executor()
-        tuned: TuningRecord | None = None
-        if backend_spec == "auto" or executor == "auto":
-            tuned, executor = self._consult_tuner(
-                op, m, n, k, a.dtype.itemsize * 8, executor
-            )
+        tuned = (
+            self._consult_tuner(op, m, n, k, a.dtype.itemsize * 8)
+            if backend_spec == "auto" else None
+        )
         backend_name = resolve_backend_name(
             backend_spec, total_ops, tuned.backend if tuned else None
         )
         crossover = self.crossover_ops
-        if tuned is not None and backend_spec == "auto":
+        if tuned is not None:
             # The record's plan preferences travel with its backend.
             symmetric = symmetric and tuned.triangular
             if tuned.crossover_ops is not None:
@@ -424,29 +371,15 @@ class ParallelEngine:
             "parallel.run", m=m, n=n, k=k, workers=self.workers
         ).set(parallel=use_parallel, symmetric=symmetric, backend=backend_name):
             c, report = self._execute(
-                a, b, op, plan, use_parallel, symmetric, backend_name,
-                executor, res,
+                a, b, op, plan, use_parallel, symmetric, backend_name, res,
             )
         obs.counters.add(HOST_ENGINE_SECONDS, report.seconds)
         if obs.enabled:
             report.metrics = MetricsReport.from_delta(
                 obs, counters_before, spans_before
             )
-        if res.active or report.workers_lost:
-            # Worker-process events (injector firings shipped from
-            # workers plus worker-lost records of genuine crashes) join
-            # the parent injector's log, keeping `fired_count` exact
-            # across executors; thread/serial runs ship none.  Without
-            # an active context the null injector drops absorbed
-            # events, so fold them into the report directly instead.
-            if res.active and report.worker_events:
-                res.injector.absorb(report.worker_events)
-                events = tuple(res.injector.fired()[events_before:])
-            else:
-                events = (
-                    tuple(res.injector.fired()[events_before:])
-                    + report.worker_events
-                )
+        if res.active:
+            events = tuple(res.injector.fired()[events_before:])
             report.resilience = ResilienceReport(
                 faults_injected=len(events),
                 retries=report.n_retries,
@@ -457,68 +390,26 @@ class ParallelEngine:
                 verify_mismatches=sum(
                     1 for p in report.shard_profiles if p.mismatched
                 ),
-                workers_lost=report.workers_lost,
                 events=events,
             )
         return c, report
 
-    def _resolve_executor(self) -> str:
-        """``self.executor`` with ``"auto"`` resolved against the env."""
-        if self.executor != "auto":
-            return self.executor
-        env_executor = os.environ.get(REPRO_EXECUTOR_ENV, "").strip()
-        if not env_executor:
-            return "auto"
-        if env_executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"{REPRO_EXECUTOR_ENV}: unknown executor "
-                f"{env_executor!r} (valid: thread, process)"
-            )
-        return env_executor
-
     def _consult_tuner(
-        self,
-        op: ComparisonOp,
-        m: int,
-        n: int,
-        k: int,
-        word_bits: int,
-        executor: str,
-    ) -> "tuple[TuningRecord | None, str]":
+        self, op: ComparisonOp, m: int, n: int, k: int, word_bits: int
+    ) -> "TuningRecord | None":
         """Best-effort lookup in the persisted host tuning cache.
 
-        Returns ``(record, executor)``.  With ``executor="auto"`` the
-        thread and process records for the size class are compared and
-        the measured winner picked (``"thread"`` when neither exists
-        -- untuned hosts stay on the in-process pool).  Any failure
-        (missing, corrupt, or stale cache; import problems) degrades to
-        ``(None, ...)`` -- ``"auto"`` then falls back to its built-in
-        default.  Imported lazily to avoid an import cycle (the tuner
-        benchmarks through this engine).
+        Any failure (missing, corrupt, or stale cache; import problems)
+        degrades to ``None`` -- ``"auto"`` then falls back to its
+        built-in size rule.  Imported lazily to avoid an import cycle
+        (the tuner benchmarks through this engine).
         """
-        fallback = "thread" if executor == "auto" else executor
         try:
             from repro.parallel.tuner import lookup_tuned
 
-            if executor != "auto":
-                record = lookup_tuned(
-                    op, m, n, k, word_bits, self.workers, executor=executor
-                )
-                return record, executor
-            thread_record = lookup_tuned(
-                op, m, n, k, word_bits, self.workers, executor="thread"
-            )
-            process_record = lookup_tuned(
-                op, m, n, k, word_bits, self.workers, executor="process"
-            )
-            if process_record is not None and (
-                thread_record is None
-                or process_record.best_seconds < thread_record.best_seconds
-            ):
-                return process_record, "process"
-            return thread_record, "thread"
+            return lookup_tuned(op, m, n, k, word_bits, self.workers)
         except Exception:  # pragma: no cover - defensive degradation
-            return None, fallback
+            return None
 
     # -- the loop --------------------------------------------------------------
 
@@ -531,7 +422,6 @@ class ParallelEngine:
         use_parallel: bool,
         symmetric: bool,
         backend_name: str,
-        executor: str,
         res: ResilienceContext,
     ) -> tuple[np.ndarray, ParallelReport]:
         """Plan the shards, then run each as one backend panel."""
@@ -559,36 +449,22 @@ class ParallelEngine:
             symmetric=symmetric,
         )
         start = time.perf_counter()
-        if executor == "process" and len(shards) > 1:
-            assert shard_plan is not None
-            result = self._get_procpool().execute(
-                a, b, op, plan, shard_plan, backend_name, res,
-            )
-            c = result.c
-            report.executor = "process"
-            report.shard_profiles = result.profiles
-            report.worker_events = result.worker_events
-            report.workers_lost = result.workers_lost
+        backend = get_backend(backend_name)
+        c = np.zeros((plan.m, plan.n), dtype=np.int64)
+        if len(shards) <= 1 or self.workers == 1:
+            report.shard_profiles = [
+                execute_shard(backend, shard, a, b, op, plan.k, c, res)
+                for shard in shards
+            ]
         else:
-            # Serial runs and single-shard "process" requests run here
-            # and report the thread tier.
-            backend = get_backend(backend_name)
-            c = np.zeros((plan.m, plan.n), dtype=np.int64)
-            if len(shards) <= 1 or self.workers == 1:
-                profiles = [
-                    execute_shard(backend, shard, a, b, op, plan.k, c, res)
-                    for shard in shards
-                ]
-            else:
-                pool = self._get_pool()
-                futures = [
-                    pool.submit(
-                        execute_shard, backend, shard, a, b, op, plan.k, c, res
-                    )
-                    for shard in shards
-                ]
-                profiles = [f.result() for f in futures]
-            report.shard_profiles = profiles
+            pool = self._get_pool()
+            futures = [
+                pool.submit(
+                    execute_shard, backend, shard, a, b, op, plan.k, c, res
+                )
+                for shard in shards
+            ]
+            report.shard_profiles = [f.result() for f in futures]
         report.seconds = time.perf_counter() - start
         return c, report
 
@@ -647,8 +523,8 @@ def execute_shard(
     errors propagate unchanged.  After a successful compute, sampled
     shards are spot-verified against the reference; a mismatch (e.g. an
     injected bit flip) adopts the reference block, so corrupt tiles
-    never reach the caller.  Inline, thread-pool and process-pool runs
-    all execute shards here.
+    never reach the caller.  Inline and thread-pool runs both execute
+    shards here.
     """
     obs = get_tracer()
     injector = res.injector
@@ -719,34 +595,30 @@ def execute_shard(
 
 # -- module-level conveniences ---------------------------------------------------
 
-_ENGINES: dict[tuple[int, str, str], ParallelEngine] = {}
+_ENGINES: dict[tuple[int, str], ParallelEngine] = {}
 _ENGINES_LOCK = threading.Lock()
 
 
 def get_engine(
     workers: int | None = None,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> ParallelEngine:
-    """Process-wide engine per (workers, backend, executor).
+    """Process-wide engine per (workers, backend).
 
     Every caller asking for the same worker count shares one pool --
     this is how the multi-GPU executor runs all simulated devices on a
-    single pool instead of one per device, and how repeated process
-    runs reuse one set of spawned workers.
+    single pool instead of one per device.
     """
     if workers is None:
         workers = os.cpu_count() or 1
     # Checked before the lookup: ``True`` and ``1.0`` hash like ``1``
     # and would otherwise be handed the cached one-worker engine.
     check_workers("get_engine: workers", workers)
-    key = (workers, backend, executor)
+    key = (workers, backend)
     with _ENGINES_LOCK:
         engine = _ENGINES.get(key)
         if engine is None:
-            engine = ParallelEngine(
-                workers=workers, backend=backend, executor=executor,
-            )
+            engine = ParallelEngine(workers=workers, backend=backend)
             _ENGINES[key] = engine
         return engine
 
@@ -760,10 +632,9 @@ def bit_gemm_parallel(
     force_parallel: bool | None = None,
     symmetric: bool | None = None,
     backend: str = "auto",
-    executor: str = "auto",
 ) -> np.ndarray:
     """One-shot bit-GEMM through the shared engine for ``workers``."""
-    c, _ = get_engine(workers, backend, executor).run(
+    c, _ = get_engine(workers, backend).run(
         a, b, op, plan=plan, force_parallel=force_parallel, symmetric=symmetric
     )
     return c

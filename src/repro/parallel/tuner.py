@@ -13,14 +13,6 @@ crossover decision, and persists the winner to a small JSON cache.
 ``backend="auto"`` then applies the winner per machine, ahead of the
 built-in size rule.
 
-The tuner also races the engine's *executor* axis: on problems large
-enough for the process tier to plausibly pay off, the candidate grid
-is re-timed on the process executor (:mod:`repro.parallel.procpool`)
-and the per-executor winners are stored as separate records,
-distinguished by an ``|ex<executor>`` key suffix (thread records keep
-the unsuffixed key).  ``executor="auto"`` then compares the two
-records' ``best_seconds`` per size class.
-
 The cache is keyed by ``(op, shape bucket, workers, word_bits, numpy
 version, backend fingerprint)`` -- shapes are bucketed to the next
 power of two so one measurement serves its whole size class, the NumPy
@@ -41,13 +33,15 @@ File format (``repro-host-tuning/2``)::
       "records": {
         "<key>": {"backend": "blas", "triangular": true,
                    "crossover_ops": null, "best_seconds": 0.012,
-                   "candidates": 4, "executor": "thread"}
+                   "candidates": 4}
       }
     }
 
 Format ``/1`` records (which also carried a shard ``strategy``) are a
 foreign format: a ``/1`` file reads as an empty cache and is replaced
-on the next save.
+on the next save.  Fields a record does not define are ignored, so
+files that still carry an ``executor`` field (and keys ending in
+``|ex<executor>``, which no lookup asks for) load as they are.
 
 The cache path resolves, in order: explicit argument, the
 ``REPRO_TUNING_CACHE`` environment variable, then
@@ -107,9 +101,6 @@ def default_tuning_path() -> Path:
         return Path(override).expanduser()
     return repro_cache_dir() / "host-tuning.json"
 
-#: Executors a record (and a tuning key) may name.
-_RECORD_EXECUTORS = ("thread", "process")
-
 
 def shape_bucket(m: int, n: int, k_words: int) -> str:
     """Bucket a problem shape to its next-power-of-two size class."""
@@ -127,7 +118,6 @@ def tuning_key(
     k_words: int,
     word_bits: int,
     workers: int,
-    executor: str = "thread",
 ) -> str:
     """The cache key one measurement is stored (and looked up) under.
 
@@ -135,22 +125,10 @@ def tuning_key(
     versions of the tunable backend set): a record measured before
     Numba was installed -- or against a different backend version --
     stops matching instead of silently pinning the old winner.
-
-    Non-thread executors append an ``|ex<executor>`` suffix; thread
-    records keep the unsuffixed legacy form so caches written before
-    the executor axis existed still resolve -- and resolve as thread
-    records, which is what they measured.
     """
-    if executor not in _RECORD_EXECUTORS:
-        raise ConfigurationError(
-            f"tuning_key: unknown executor {executor!r} "
-            f"(valid: {', '.join(_RECORD_EXECUTORS)})"
-        )
-    suffix = "" if executor == "thread" else f"|ex{executor}"
     return (
         f"{op.value}|{shape_bucket(m, n, k_words)}|w{workers}"
         f"|b{word_bits}|np{np.__version__}|be[{backend_fingerprint()}]"
-        f"{suffix}"
     )
 
 
@@ -164,8 +142,6 @@ class TuningRecord:
     baseline beat every parallel candidate).  ``triangular`` is the
     measured preference for Gram plans; the engine only honours it
     when the run is actually a symmetric self-comparison.
-    ``executor`` names the shard executor the record was measured on
-    (``"thread"`` when the field is absent).
     """
 
     backend: str
@@ -173,7 +149,6 @@ class TuningRecord:
     crossover_ops: int | None
     best_seconds: float
     candidates: int
-    executor: str = "thread"
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -182,7 +157,6 @@ class TuningRecord:
             "best_seconds": self.best_seconds,
             "candidates": self.candidates,
             "backend": self.backend,
-            "executor": self.executor,
         }
 
     @classmethod
@@ -207,18 +181,12 @@ class TuningRecord:
         candidates = data.get("candidates")
         if not isinstance(candidates, int) or isinstance(candidates, bool):
             raise ValueError("tuning record: candidates must be an int")
-        executor = data.get("executor", "thread")
-        if executor not in _RECORD_EXECUTORS:
-            raise ValueError(
-                f"tuning record has unknown executor {executor!r}"
-            )
         return cls(
             backend=backend,
             triangular=triangular,
             crossover_ops=crossover,
             best_seconds=float(best_seconds),
             candidates=candidates,
-            executor=executor,
         )
 
 
@@ -386,13 +354,10 @@ def lookup_tuned(
     k_words: int,
     word_bits: int,
     workers: int,
-    executor: str = "thread",
 ) -> TuningRecord | None:
-    """Cheap cache consultation used by ``backend``/``executor="auto"``."""
+    """Cheap cache consultation used by ``backend="auto"``."""
     cache = get_tuning_cache()
-    return cache.lookup(
-        tuning_key(op, m, n, k_words, word_bits, workers, executor=executor)
-    )
+    return cache.lookup(tuning_key(op, m, n, k_words, word_bits, workers))
 
 
 # -- measurement -----------------------------------------------------------------
@@ -408,7 +373,6 @@ def tune_problem(
     seed: int = 0,
     cache: TuningCache | None = None,
     persist: bool = True,
-    executors: tuple[str, ...] | None = None,
 ) -> TuningRecord:
     """Benchmark the candidate grid for one shape and persist the winner.
 
@@ -419,16 +383,8 @@ def tune_problem(
     becomes the record; if the serial baseline beat it,
     ``crossover_ops`` is raised above this size class so ``"auto"``
     keeps such problems serial.
-
-    ``executors`` selects which shard executors race (default:
-    ``("thread",)``, widened to ``("thread", "process")`` when the
-    problem is at least the parallel crossover size -- the process
-    tier's spawn/shared-memory overheads can't pay off below it).  One
-    record per executor is stored under its executor-qualified key;
-    the overall fastest is returned, so ``executor="auto"`` can later
-    compare records where :func:`lookup_tuned` finds both.
     """
-    from repro.parallel.engine import PARALLEL_CROSSOVER_OPS, get_engine
+    from repro.parallel.engine import get_engine
 
     if m <= 0 or n <= 0 or k_words <= 0:
         raise ConfigurationError(
@@ -449,16 +405,6 @@ def tune_problem(
     gram_eligible = m == n and op.is_symmetric
     word_bits = 64
     total_ops = m * n * k_words
-    if executors is None:
-        executors = ("thread",)
-        if total_ops >= PARALLEL_CROSSOVER_OPS:
-            executors = ("thread", "process")
-    for ex in executors:
-        if ex not in _RECORD_EXECUTORS:
-            raise ConfigurationError(
-                f"tune_problem: unknown executor {ex!r} "
-                f"(valid: {', '.join(_RECORD_EXECUTORS)})"
-            )
     backends = [
         be.info.name
         for be in registered_backends()
@@ -466,9 +412,9 @@ def tune_problem(
     ]
     plans = (False, True) if gram_eligible else (False,)
 
-    def best_of(engine_workers: int, backend: str, executor: str,
-                triangular: bool, force_parallel: bool) -> float:
-        engine = get_engine(engine_workers, backend, executor)
+    def best_of(engine_workers: int, backend: str, triangular: bool,
+                force_parallel: bool) -> float:
+        engine = get_engine(engine_workers, backend)
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
@@ -478,32 +424,23 @@ def tune_problem(
             best = min(best, time.perf_counter() - start)
         return best
 
-    serial_best = best_of(1, "auto", "thread", False, False)
+    serial_best = best_of(1, "auto", False, False)
+    candidates = [
+        (backend, triangular, best_of(workers, backend, triangular, True))
+        for backend in backends
+        for triangular in plans
+    ]
+    backend, triangular, best_seconds = min(candidates, key=lambda c: c[2])
+    record = TuningRecord(
+        backend=backend,
+        triangular=triangular,
+        crossover_ops=2 * total_ops if serial_best < best_seconds else None,
+        best_seconds=best_seconds,
+        candidates=len(candidates),
+    )
     if cache is None:
         cache = get_tuning_cache()
-    best_record: TuningRecord | None = None
-    for ex in executors:
-        candidates = [
-            (backend, triangular, best_of(workers, backend, ex, triangular, True))
-            for backend in backends
-            for triangular in plans
-        ]
-        backend, triangular, best_seconds = min(candidates, key=lambda c: c[2])
-        record = TuningRecord(
-            backend=backend,
-            triangular=triangular,
-            crossover_ops=2 * total_ops if serial_best < best_seconds else None,
-            best_seconds=best_seconds,
-            candidates=len(candidates),
-            executor=ex,
-        )
-        cache.store(
-            tuning_key(op, m, n, k_words, word_bits, workers, executor=ex),
-            record,
-        )
-        if best_record is None or record.best_seconds < best_record.best_seconds:
-            best_record = record
+    cache.store(tuning_key(op, m, n, k_words, word_bits, workers), record)
     if persist:
         cache.save()
-    assert best_record is not None
-    return best_record
+    return record

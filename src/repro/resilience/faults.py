@@ -38,21 +38,6 @@ Fault kinds and their addressing:
     tile has one bit flipped (position drawn from the plan seed) and
     *no error is raised* -- only the spot-verification guard can catch
     it.
-``worker-lost``
-    Dispatch-ordinal process death: a spec ``worker-lost@N`` (count
-    ``c``) kills the worker process of the process shard executor
-    (:mod:`repro.parallel.procpool`) that dequeues dispatch ordinal
-    ``N`` (``.. N+c-1``), whichever worker that is.  Ordinals count the
-    executor's initial shard dispatches in order, across runs under one
-    injector (re-dispatches after a loss do not consume ordinals).  The
-    *parent* decides: :meth:`FaultInjector.mark_worker_loss` consumes
-    one ordinal per dispatch and, on a hit, records the fired event
-    (target = the ordinal) and marks the task; the worker that dequeues
-    it flushes its claim and exits abruptly (``os._exit``).  The task
-    queue is FIFO, so a marked task is always dequeued during its run
-    and the schedule is deterministic however the workers race for
-    tasks.  Threaded and serial runs have no worker processes, so the
-    kind never fires there.
 ``latency``
     Ordinal-indexed service-tier delay: each serving micro-batch
     consults :meth:`FaultInjector.service_delay` before executing, and
@@ -85,7 +70,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,8 +90,8 @@ __all__ = [
 
 #: Every fault kind the injector understands.
 FAULT_KINDS = (
-    "kernel", "alloc", "device", "shard", "slow", "bitflip", "worker-lost",
-    "latency", "disk-corrupt", "client-disconnect",
+    "kernel", "alloc", "device", "shard", "slow", "bitflip", "latency",
+    "disk-corrupt", "client-disconnect",
 )
 
 #: Kinds addressed by invocation ordinal (sequential hook sites).
@@ -372,21 +357,6 @@ class FaultInjector:
                 attempt=attempt,
             )
 
-    def mark_worker_loss(self) -> bool:
-        """Process-pool dispatch hook: ``True`` marks the task as fatal.
-
-        Consumes one ``worker-lost`` dispatch ordinal per call (the
-        parent calls it once per initial shard dispatch) and, when the
-        plan schedules a loss at that ordinal, records the fired event
-        here -- the worker that dequeues the marked task dies without a
-        chance to ship its own event log.
-        """
-        ordinal = self._next_ordinal("worker-lost")
-        if not self._ordinal_spec_hit("worker-lost", ordinal):
-            return False
-        self._record("worker-lost", ordinal, 0, site="procpool")
-        return True
-
     def service_delay(self, site: str = "serve.batch") -> float:
         """Service-tier latency hook: sleep when the plan schedules it.
 
@@ -482,17 +452,6 @@ class FaultInjector:
         with self._lock:
             return sum(1 for f in self._fired if f.kind == kind)
 
-    def absorb(self, events: Iterable[FiredFault]) -> None:
-        """Append faults fired elsewhere to this injector's log.
-
-        The process executor rebuilds injectors from spec inside each
-        worker; their firings ship back with shard results, and the
-        parent absorbs them here so ``fired``/``fired_count`` stay the
-        single source of truth across executors.  Budgets are *not*
-        consumed -- the worker-side clones already consumed theirs.
-        """
-        with self._lock:
-            self._fired.extend(events)
 
 
 class NullInjector:
@@ -505,9 +464,6 @@ class NullInjector:
 
     def check_shard(self, shard_id: int, attempt: int) -> None:
         pass
-
-    def mark_worker_loss(self) -> bool:
-        return False
 
     def service_delay(self, site: str = "serve.batch") -> float:
         return 0.0
@@ -529,9 +485,6 @@ class NullInjector:
 
     def fired_count(self, kind: str) -> int:
         return 0
-
-    def absorb(self, events: Iterable[FiredFault]) -> None:
-        pass
 
 
 #: The process-wide disabled injector (one attribute check per hook).

@@ -34,6 +34,7 @@ therefore always visible to that request (the append barrier).
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Future
 from typing import Callable, Sequence, TypeVar
@@ -125,7 +126,6 @@ class IdentityService:
         device: "str | GPUArchitecture" = "Titan V",
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
         window_s: float = 0.005,
         max_batch_rows: int = 512,
         pipeline_depth: int = 1,
@@ -138,10 +138,11 @@ class IdentityService:
         self.index = index
         self.framework = framework_for(
             "IdentityService", framework, device, Algorithm.FASTID_IDENTITY,
-            workers=workers, backend=backend, executor=executor,
+            workers=workers, backend=backend,
         )
         self.ledger = TenantLedger()
         self._packed: dict[int, PackedOperand] = {}
+        self._packed_lock = threading.Lock()
         self.breaker = breaker or CircuitBreaker(
             failure_threshold=5, cooldown_s=1.0
         )
@@ -312,8 +313,24 @@ class IdentityService:
             )
         else:
             operand = self.framework.pack(segment.bits())
-        self._packed[segment.sid] = operand
+        with self._packed_lock:
+            self._packed[segment.sid] = operand
         return operand
+
+    def _evict_dead(self) -> None:
+        """Drop the operands of segments that left the index.
+
+        Appends add tail segments and a seal replaces them with one
+        shard, each under a fresh sid, so without eviction the cache
+        keeps every segment the service has ever seen.  A concurrent
+        batch on an older snapshot keeps its own references to the
+        operands it folds; an operand it packs after this pass stays
+        cached only until the next one.
+        """
+        live = {segment.sid for segment in self.index.snapshot()}
+        with self._packed_lock:
+            for sid in [sid for sid in self._packed if sid not in live]:
+                del self._packed[sid]
 
     def _run_panel(
         self, requests: Sequence[QueryRequest], snapshot: tuple[Segment, ...]
@@ -363,6 +380,7 @@ class IdentityService:
                     rows = table[row : row + request.n_queries]
                     best[ri].fold(rows, segment.base)
                 row += request.n_queries
+        self._evict_dead()
         return [
             expired[ri] if ri in expired else best[ri].matches()
             for ri in range(len(requests))

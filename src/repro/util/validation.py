@@ -88,8 +88,8 @@ def check_workers(
 ) -> int:
     """Validate a worker-count parameter at an API entry point.
 
-    The engine constructor, the process pool and the CLI ``--workers``
-    flag share this check, so ``workers<=0`` fails with one clear
+    The engine constructor and the CLI ``--workers`` flag share this
+    check, so ``workers<=0`` fails with one clear
     :class:`~repro.errors.ConfigurationError` (a :class:`ValueError`)
     naming the parameter instead of surfacing as a pool-construction
     error deep in the stack.  With ``zero_means_default=True`` (the CLI

@@ -76,7 +76,6 @@ class TestComputeValidation:
         {"workers": -3},
         {"workers": 2.5},
         {"workers": True},
-        {"executor": "bogus"},
         {"backend": "magic"},
     ]
 

@@ -430,16 +430,6 @@ class TestTuningCache:
             tune_problem(4, 4, 2, repeats=0, cache=cache, persist=False)
 
 
-def _env_executor() -> str:
-    """The executor an ``executor="auto"`` engine resolves under the
-    current environment -- tuner records must be stored under that
-    executor's key for the engine's lookup to hit (the CI process leg
-    runs this suite with ``REPRO_EXECUTOR=process``)."""
-    import os
-
-    return os.environ.get("REPRO_EXECUTOR", "").strip() or "thread"
-
-
 class TestEngineConsultsTuner:
     def test_auto_honours_tuned_strategy(self, tuning_sandbox, monkeypatch):
         monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
@@ -452,7 +442,7 @@ class TestEngineConsultsTuner:
             candidates=4,
         )
         tuning_sandbox.store(
-            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2, executor=_env_executor()),
+            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2),
             record,
         )
         engine = get_engine(2, "auto")
@@ -483,7 +473,7 @@ class TestEngineConsultsTuner:
             candidates=4,
         )
         tuning_sandbox.store(
-            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2, executor=_env_executor()),
+            tuning_key(ComparisonOp.AND, 64, 64, 2, 64, 2),
             record,
         )
         engine = get_engine(2, "auto")

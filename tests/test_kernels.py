@@ -118,7 +118,7 @@ class TestBackendConformance:
         "name", ["numpy", "blas", "numba", "cnative", "sim"]
     )
     def test_every_path_bit_exact_vs_reference(self, name, clean_env):
-        """Backend x executor x {full, Gram} x op x word dtype.
+        """Backend x {serial, thread pool} x {full, Gram} x op x word dtype.
 
         130 rows band the triangular plan into three diagonal bands,
         so sharded Gram runs mirror off-diagonal shards.
@@ -127,8 +127,7 @@ class TestBackendConformance:
             pytest.skip(f"backend {name} unavailable on this host")
         engines = {
             "serial": ParallelEngine(workers=1, backend=name),
-            "thread": ParallelEngine(workers=2, backend=name, executor="thread"),
-            "process": ParallelEngine(workers=2, backend=name, executor="process"),
+            "thread": ParallelEngine(workers=2, backend=name),
         }
         try:
             for dtype in WORD_DTYPES:
@@ -137,16 +136,16 @@ class TestBackendConformance:
                 for op in ALL_OPS:
                     for right in (b, a):  # full, then Gram (same operand)
                         expected = bit_gemm_reference(a, right, op)
-                        for executor, engine in engines.items():
+                        for mode, engine in engines.items():
                             table, report = engine.run(
-                                a, right, op, force_parallel=executor != "serial"
+                                a, right, op, force_parallel=mode != "serial"
                             )
-                            case = (name, executor, dtype.__name__, op, right is a)
+                            case = (name, mode, dtype.__name__, op, right is a)
                             assert np.array_equal(table, expected), case
                             assert report.backend == name, case
                             gram = right is a and op.is_symmetric
                             assert report.symmetric == (
-                                gram and executor != "serial"
+                                gram and mode != "serial"
                             ), case
         finally:
             for engine in engines.values():
@@ -295,23 +294,6 @@ class TestBitGemmBackendDriver:
         assert snapshot[GEMM_CALLS] == 1
         assert snapshot[GEMM_WORD_OPS] == 8 * 6 * 4
 
-    def test_word_op_accounting_is_backend_invariant(self):
-        a = make_words(5, 3, np.uint64, seed=51)
-        b = make_words(7, 3, np.uint64, seed=52)
-        snapshots = []
-        for backend in available_backends():
-            tracer = Tracer()
-            previous = set_tracer(tracer)
-            try:
-                ParallelEngine(workers=1, backend=backend.info.name).run(a, b)
-            finally:
-                set_tracer(previous)
-            snap = tracer.counters.snapshot()
-            snapshots.append(
-                (snap.get(GEMM_CALLS), snap.get(GEMM_WORD_OPS))
-            )
-        assert len(set(snapshots)) == 1
-
     def test_unknown_backend_raises(self):
         a = make_words(2, 2, np.uint32)
         with pytest.raises(ConfigurationError):
@@ -325,37 +307,6 @@ class TestEngineBackends:
     def test_ctor_validates_backend(self):
         with pytest.raises(ConfigurationError):
             ParallelEngine(workers=1, backend="warp")
-
-    def test_sharded_backend_bit_exact(self, clean_env):
-        a = make_words(24, 8, np.uint32, seed=61)
-        b = make_words(32, 8, np.uint32, seed=62)
-        expected = bit_gemm_reference(a, b, ComparisonOp.AND)
-        for backend in available_backends():
-            name = backend.info.name
-            engine = ParallelEngine(workers=2, backend=name)
-            try:
-                table, report = engine.run(
-                    a, b, ComparisonOp.AND, force_parallel=True
-                )
-            finally:
-                engine.shutdown()
-            assert np.array_equal(table, expected), name
-            assert report.backend == name
-
-    def test_serial_backend_bit_exact(self, clean_env):
-        a = make_words(4, 3, np.uint32, seed=63)
-        b = make_words(5, 3, np.uint32, seed=64)
-        expected = bit_gemm_reference(a, b, ComparisonOp.ANDNOT)
-        for backend in available_backends():
-            name = backend.info.name
-            engine = ParallelEngine(workers=1, backend=name)
-            try:
-                table, report = engine.run(a, b, ComparisonOp.ANDNOT)
-            finally:
-                engine.shutdown()
-            assert np.array_equal(table, expected), name
-            assert report.backend == name
-            assert report.n_shards == 1
 
     def test_env_backend_steers_auto(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, DEFAULT_BACKEND_NAME)
@@ -412,6 +363,48 @@ class TestTunerBackendKeying:
         assert "format" in cache.load_error
         assert report.backend == DEFAULT_BACKEND_NAME
 
+    def test_cache_with_executor_records_still_loads(self, tmp_path,
+                                                     monkeypatch, clean_env):
+        # Caches written while the tuner also raced a process tier carry
+        # an "executor" field on every record, plus a faster process
+        # record under the same key with an "|exprocess" suffix.  The
+        # file loads whole, lookups find the thread record, and "auto"
+        # runs its backend.
+        import json
+
+        from repro.parallel import tuner as tuner_mod
+
+        a = make_words(16, 4, np.uint32, seed=74)
+        key = tuning_key(ComparisonOp.XOR, 16, 16, 4, 32, 2)
+        path = tmp_path / "tuning.json"
+        path.write_text(json.dumps({
+            "format": "repro-host-tuning/2",
+            "records": {
+                key: {
+                    "triangular": False, "crossover_ops": None,
+                    "best_seconds": 0.5, "candidates": 4,
+                    "backend": "sim", "executor": "thread",
+                },
+                key + "|exprocess": {
+                    "triangular": True, "crossover_ops": None,
+                    "best_seconds": 0.1, "candidates": 4,
+                    "backend": "blas", "executor": "process",
+                },
+            },
+        }))
+        cache = TuningCache(path)
+        monkeypatch.setattr(tuner_mod, "get_tuning_cache", lambda: cache)
+        record = tuner_mod.lookup_tuned(ComparisonOp.XOR, 16, 16, 4, 32, 2)
+        assert cache.load_error is None
+        assert len(cache) == 2
+        assert record == TuningRecord("sim", False, None, 0.5, 4)
+        engine = ParallelEngine(workers=2)
+        try:
+            _, report = engine.run(a, a, ComparisonOp.XOR, force_parallel=True)
+        finally:
+            engine.shutdown()
+        assert report.backend == "sim"
+
     def test_stale_backend_record_does_not_pin(self, tmp_path, monkeypatch,
                                                clean_env):
         # A tuning record naming a backend that is no longer available
@@ -443,8 +436,7 @@ class TestTunerBackendKeying:
 
 # -- a requested backend is honoured or rejected, never replaced -----------------
 
-#: Counter the shadow backend bumps per panel call; process workers ship
-#: it back to the parent with their other counter deltas.
+#: Counter the shadow backend bumps per panel call.
 SHADOW_CALLS = "test.shadow_panel_calls"
 
 
@@ -520,7 +512,7 @@ class TestRequestedBackendHonoured:
     def test_thread_gram_runs_requested_backend(self, shadowed):
         shadowed()
         a = make_words(130, 3, np.uint32, seed=97)
-        engine = ParallelEngine(workers=2, backend="numba", executor="thread")
+        engine = ParallelEngine(workers=2, backend="numba")
         try:
             reports = []
             calls = _count_shadow_calls(
@@ -533,48 +525,11 @@ class TestRequestedBackendHonoured:
         assert reports[0].symmetric
         assert calls == reports[0].n_shards > 1
 
-    def test_process_gram_runs_requested_backend(self, shadowed, monkeypatch):
-        # Forked workers inherit the parent's registry, shadow included.
-        from repro.parallel.procpool import REPRO_MP_START_ENV
-
-        monkeypatch.setenv(REPRO_MP_START_ENV, "fork")
-        shadowed()
-        a = make_words(130, 3, np.uint32, seed=98)
-        engine = ParallelEngine(workers=2, backend="numba", executor="process")
-        try:
-            reports = []
-            calls = _count_shadow_calls(
-                lambda: reports.append(
-                    engine.run(a, a, ComparisonOp.AND, force_parallel=True)[1]
-                )
-            )
-        finally:
-            engine.shutdown()
-        assert reports[0].executor == "process"
-        assert calls == reports[0].n_shards > 1
-
-    def test_process_worker_backend_skew_raises(self, shadowed, monkeypatch):
-        # Spawned workers bind "numba" to the real backend: a different
-        # implementation than the parent's, which must fail loudly.
-        from repro.parallel.procpool import REPRO_MP_START_ENV
-
-        monkeypatch.setenv(REPRO_MP_START_ENV, "spawn")
-        shadowed()
-        a = make_words(130, 3, np.uint32, seed=99)
-        engine = ParallelEngine(workers=2, backend="numba", executor="process")
-        try:
-            with pytest.raises(ConfigurationError, match="numba"):
-                engine.run(a, a, ComparisonOp.AND, force_parallel=True)
-        finally:
-            engine.shutdown()
-
-    @pytest.mark.parametrize(
-        "workers, executor", [(1, "thread"), (2, "thread"), (2, "process")]
-    )
-    def test_unavailable_backend_raises(self, shadowed, workers, executor):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unavailable_backend_raises(self, shadowed, workers):
         shadowed(available=False)
         a = make_words(130, 3, np.uint32, seed=100)
-        engine = ParallelEngine(workers=workers, backend="numba", executor=executor)
+        engine = ParallelEngine(workers=workers, backend="numba")
         try:
             with pytest.raises(ConfigurationError, match="unavailable"):
                 engine.run(a, a, ComparisonOp.AND, force_parallel=workers > 1)

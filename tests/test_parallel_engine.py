@@ -25,6 +25,7 @@ from repro.parallel import (
 from repro.snp.generator import PopulationModel, generate_population
 from repro.snp.io import write_snptxt
 from repro.util.bitops import pack_bits
+from repro.util.validation import check_workers
 
 OPS = [ComparisonOp.AND, ComparisonOp.XOR, ComparisonOp.ANDNOT]
 WORKERS = [1, 2, 4]
@@ -243,6 +244,31 @@ class TestEngineDispatch:
     def test_get_engine_shares_instances(self):
         assert get_engine(2) is get_engine(2)
         assert get_engine(2) is not get_engine(3)
+
+
+class TestWorkersValidation:
+    """One shared validator behind every workers-accepting entry point."""
+
+    def test_check_workers_contract(self):
+        assert check_workers("x", 3) == 3
+        assert check_workers("x", 0, zero_means_default=True) == 0
+        with pytest.raises(ValueError, match="x"):
+            check_workers("x", 0)
+        with pytest.raises(ValueError):
+            check_workers("x", -1, zero_means_default=True)
+        with pytest.raises(ValueError, match="integer"):
+            check_workers("x", 2.0)
+        with pytest.raises(ValueError, match="integer"):
+            check_workers("x", True)
+
+    def test_identity_service_rejects(self):
+        from repro.serve import IdentityService, ProfileIndex
+
+        index = ProfileIndex(n_bits=64)
+        index.append(np.ones((4, 64), dtype=np.uint8))
+        with index:
+            with pytest.raises(ConfigurationError, match="workers"):
+                IdentityService(index, workers=0)
 
 
 # -- integration: executor, framework, multi-GPU, CLI ---------------------------

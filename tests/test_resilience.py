@@ -142,15 +142,6 @@ class TestFaultInjector:
         injector.check("kernel")  # ordinal 3: past the burst
         assert injector.fired_count("kernel") == 2
 
-    def test_worker_loss_marks_scheduled_dispatch_ordinals(self):
-        injector = FaultInjector(FaultPlan.from_spec("worker-lost@1:2"))
-        marks = [injector.mark_worker_loss() for _ in range(5)]
-        assert marks == [False, True, True, False, False]
-        assert [(e.target, e.site) for e in injector.fired()] == [
-            (1, "procpool"), (2, "procpool"),
-        ]
-        assert not NULL_INJECTOR.mark_worker_loss()
-
     def test_device_fault_is_permanent(self):
         injector = FaultInjector(FaultPlan.from_spec("device@2"))
         injector.check("device", target=1)  # other device: clean

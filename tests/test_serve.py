@@ -354,6 +354,82 @@ class TestIdentityServiceExactness:
             ] == expected
 
 
+class TestPackedOperandCache:
+    def test_cache_holds_only_live_segments(self, tmp_path, tracer):
+        # 64 appends of 32 rows seal a 256-row shard every 8 appends.
+        # Each append adds a tail segment and each seal replaces them
+        # with one shard, all under fresh sids: the cache must follow
+        # the live set, not keep every segment ever seen.
+        profiles = make_db(64 * 32, seed=81)
+        query_sets = [make_db(1, seed=82), make_db(3, seed=83)]
+        index = ProfileIndex(tmp_path, n_bits=SITES, shard_rows=256, word_bits=32)
+        with index, IdentityService(index, k=5) as service:
+            for i in range(64):
+                service.append(profiles[i * 32 : (i + 1) * 32])
+                got = service.search_many(query_sets)
+                assert len(service._packed) == len(index.snapshot())
+                with IdentityService(index, k=5) as fresh:
+                    assert got == fresh.search_many(query_sets)
+            assert len(index.snapshot()) == 8
+
+    def test_concurrent_batches_and_seals_stay_exact(self, tmp_path, tracer):
+        # Pipelined batches on different snapshots pack and evict the
+        # shared cache while appends seal tails away.  Every answer must
+        # be the oracle's for some append prefix: an operand read after
+        # another batch dropped or replaced it would match none.
+        import sys
+
+        base = make_db(64, seed=84)
+        appends = [make_db(16, seed=85 + i) for i in range(16)]
+        queries = [make_db(1, seed=110 + i) for i in range(4)]
+        prefixes = [
+            [oracle(q, [base, *appends[:p]], k=5) for p in range(17)]
+            for q in queries
+        ]
+        results: list[tuple[int, object]] = []
+        errors: list[BaseException] = []
+
+        def client(qi):
+            try:
+                for _ in range(8):
+                    results.append((qi, service.search(queries[qi])))
+            except BaseException as exc:  # reported by the assert below
+                errors.append(exc)
+
+        def appender():
+            try:
+                for block in appends:
+                    service.append(block)
+                    time.sleep(0.002)
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_service(
+                tmp_path, base, shard_rows=64, window_s=0.001,
+                pipeline_depth=3,
+            ) as service, service.index:
+                threads = [
+                    threading.Thread(target=client, args=(qi,))
+                    for qi in range(len(queries))
+                ] + [threading.Thread(target=appender)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                service.search_many(queries)
+                assert len(service._packed) == len(service.index.snapshot())
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 8 * len(queries)
+        for qi, got in results:
+            assert got in prefixes[qi]
+
+
 class TestIdentityServiceAmortization:
     def test_coalesced_word_ops_at_most_0_6x_solo(self, tmp_path, tracer):
         db = make_db(48)
